@@ -232,6 +232,18 @@ TEST(FleetFixture, RegeneratedWorstKMatchesCommittedBytes) {
   EXPECT_EQ(fresh_bytes, read_file(committed));
 }
 
+TEST(FleetFixture, MixedTaskDigestMatchesCommittedBytes) {
+  // The ABR flight fixture above covers one task; this digest pins cc and lb
+  // sessions too (sampling, device skew, trace mix, env construction and
+  // per-task metric extraction). Regenerate only deliberately, with
+  // tools/make_fleet_fixtures, and review the diff.
+  const std::string fresh = fleet::mixed_task_digest();
+  ASSERT_NE(fresh.find("task=cc"), std::string::npos);
+  ASSERT_NE(fresh.find("task=lb"), std::string::npos);
+  EXPECT_EQ(fresh, read_file(std::string(GENET_TEST_DATA_DIR) +
+                             "/fleet_digest_mix_v1.txt"));
+}
+
 TEST(FleetReport, JsonAndSummaryRenderEveryScenario) {
   const rl::MlpPolicy policy = test_policy("lb");
   const auto scenarios = fleet::default_scenarios("lb", 200, 0.0);
