@@ -14,11 +14,11 @@ namespace {
 
 void compare(const std::string& task, const std::string& baseline) {
   genet::ModelZoo zoo;
-  auto adapter = bench::make_adapter(task, 3);
+  auto adapter = genet::make_adapter(task, 3);
   netgym::ConfigDistribution target(adapter->space());
 
   const auto params = bench::genet_params(zoo, *adapter, task, baseline, 1);
-  auto policy = bench::make_policy(*adapter, params);
+  auto policy = genet::make_policy(*adapter, params);
   netgym::Rng r1(77), r2(77);
   const double rl =
       genet::test_on_distribution(*adapter, *policy, target, 120, r1);
@@ -49,7 +49,7 @@ int main() {
   // selection signal degenerates and Genet reduces to traditional training.
   {
     genet::ModelZoo zoo;
-    auto adapter = bench::make_adapter("abr", 3);
+    auto adapter = genet::make_adapter("abr", 3);
     genet::CurriculumTrainer trainer(
         *adapter,
         std::make_unique<genet::GenetScheme>("naive", bench::search_options()),

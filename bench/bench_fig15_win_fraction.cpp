@@ -14,7 +14,7 @@ namespace {
 void run_panel(const std::string& task, const std::string& baseline,
                const std::vector<traces::TraceSet>& sets) {
   genet::ModelZoo zoo;
-  auto adapter3 = bench::make_adapter(task, 3);
+  auto adapter3 = genet::make_adapter(task, 3);
 
   // Baseline rewards per trace (all test sets of the task pooled).
   std::vector<netgym::Trace> corpus;
@@ -34,10 +34,10 @@ void run_panel(const std::string& task, const std::string& baseline,
               task.c_str(), baseline.c_str(), corpus.size());
 
   for (int space = 1; space <= 3; ++space) {
-    auto adapter = bench::make_adapter(task, space);
+    auto adapter = genet::make_adapter(task, space);
     const auto params = bench::traditional_params(
         zoo, *adapter, task, space, 1, bench::traditional_iterations(task));
-    auto policy = bench::make_policy(*adapter3, params);
+    auto policy = genet::make_policy(*adapter3, params);
     netgym::Rng rng(9);
     const auto rewards =
         genet::test_per_trace(*adapter3, *policy, corpus, rng);
@@ -47,7 +47,7 @@ void run_panel(const std::string& task, const std::string& baseline,
   }
   {
     const auto params = bench::genet_params(zoo, *adapter3, task, baseline, 1);
-    auto policy = bench::make_policy(*adapter3, params);
+    auto policy = genet::make_policy(*adapter3, params);
     netgym::Rng rng(9);
     const auto rewards =
         genet::test_per_trace(*adapter3, *policy, corpus, rng);

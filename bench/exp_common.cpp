@@ -59,23 +59,6 @@ genet::SearchOptions search_options() {
   return options;
 }
 
-std::unique_ptr<genet::TaskAdapter> make_adapter(const std::string& task,
-                                                 int space) {
-  return make_adapter(task, space, genet::TraceMixOptions{});
-}
-
-std::unique_ptr<genet::TaskAdapter> make_adapter(
-    const std::string& task, int space, genet::TraceMixOptions traces) {
-  if (task == "abr") {
-    return std::make_unique<genet::AbrAdapter>(space, std::move(traces));
-  }
-  if (task == "cc") {
-    return std::make_unique<genet::CcAdapter>(space, std::move(traces));
-  }
-  if (task == "lb") return std::make_unique<genet::LbAdapter>(space);
-  throw std::invalid_argument("make_adapter: unknown task " + task);
-}
-
 std::vector<double> traditional_params(genet::ModelZoo& zoo,
                                        const genet::TaskAdapter& adapter,
                                        const std::string& task, int space,
@@ -164,17 +147,6 @@ std::vector<double> curriculum_params(
     }
     return trainer.trainer().snapshot();
   });
-}
-
-std::unique_ptr<rl::MlpPolicy> make_policy(const genet::TaskAdapter& adapter,
-                                           const std::vector<double>& params) {
-  netgym::Rng init_rng(0);
-  rl::TrainerOptions defaults;
-  auto policy = std::make_unique<rl::MlpPolicy>(
-      adapter.obs_size(), adapter.action_count(), defaults.hidden, init_rng);
-  policy->restore(params);
-  policy->set_greedy(true);
-  return policy;
 }
 
 void parallel_sweep(int n, std::uint64_t seed,

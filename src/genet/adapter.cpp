@@ -237,24 +237,50 @@ double eval_gap_item(const TaskAdapter& task, netgym::Policy& policy,
   throw std::invalid_argument("eval_gap_item: unknown kind '" + kind + "'");
 }
 
-std::unique_ptr<TaskAdapter> make_adapter_from_spec(const std::string& spec) {
-  const std::size_t slash = spec.find('/');
-  if (slash != std::string::npos && slash + 1 < spec.size()) {
-    const std::string name = spec.substr(0, slash);
-    const std::string id_text = spec.substr(slash + 1);
-    bool digits = true;
-    for (char c : id_text) digits = digits && c >= '0' && c <= '9';
-    if (digits && id_text.size() <= 2) {
-      const int space_id = std::stoi(id_text);
-      if (space_id >= 1 && space_id <= 3) {
-        if (name == "abr") return std::make_unique<AbrAdapter>(space_id);
-        if (name == "cc") return std::make_unique<CcAdapter>(space_id);
-        if (name == "lb") return std::make_unique<LbAdapter>(space_id);
-      }
-    }
+std::unique_ptr<TaskAdapter> make_adapter(const std::string& task,
+                                          int space_id,
+                                          TraceMixOptions traces) {
+  if (task == "abr") {
+    return std::make_unique<AbrAdapter>(space_id, std::move(traces));
   }
-  throw std::invalid_argument("make_adapter_from_spec: unrecognized spec '" +
-                              spec + "'");
+  if (task == "cc") {
+    return std::make_unique<CcAdapter>(space_id, std::move(traces));
+  }
+  if (task == "lb") return std::make_unique<LbAdapter>(space_id);
+  throw std::invalid_argument("make_adapter: unknown task '" + task +
+                              "' (want abr|cc|lb)");
+}
+
+std::unique_ptr<TaskAdapter> make_adapter_from_spec(const std::string& spec) {
+  const std::size_t slash = std::min(spec.find('/'), spec.size());
+  const std::string id = spec.substr(std::min(slash + 1, spec.size()));
+  if (id.empty() || id.size() > 2 ||
+      id.find_first_not_of("0123456789") != std::string::npos) {
+    throw std::invalid_argument("make_adapter_from_spec: unrecognized spec '" +
+                                spec + "'");
+  }
+  return make_adapter(spec.substr(0, slash), std::stoi(id));
+}
+
+std::unique_ptr<rl::MlpPolicy> make_policy(const TaskAdapter& task,
+                                           const std::vector<double>& params) {
+  netgym::Rng init_rng(0);
+  auto policy = std::make_unique<rl::MlpPolicy>(
+      task.obs_size(), task.action_count(), rl::TrainerOptions{}.hidden,
+      init_rng);
+  policy->restore(params);
+  policy->set_greedy(true);
+  return policy;
+}
+
+std::unique_ptr<netgym::Env> TaskAdapter::make_env(
+    const netgym::Config& config, netgym::Rng& rng) const {
+  const netgym::Trace* trace = nullptr;
+  if (!traces_.corpus.empty() && rng.bernoulli(traces_.trace_prob)) {
+    trace = &matching_trace(
+        traces_.corpus, config.values.at(space().index_of("max_bw_mbps")), rng);
+  }
+  return make_env(config, trace, rng);
 }
 
 std::unique_ptr<netgym::Env> TaskAdapter::make_env_from_trace(
@@ -430,8 +456,8 @@ double gap_between(const TaskAdapter& task, netgym::Policy& policy,
 // ---------------------------------------------------------------------------
 
 AbrAdapter::AbrAdapter(int space_id, TraceMixOptions traces)
-    : space_(abr::abr_config_space(space_id)),
-      traces_(std::move(traces)),
+    : TaskAdapter(std::move(traces)),
+      space_(abr::abr_config_space(space_id)),
       space_id_(space_id) {}
 
 std::string AbrAdapter::dist_spec() const {
@@ -444,14 +470,27 @@ int AbrAdapter::obs_size() const { return abr::AbrEnv::kObsSize; }
 int AbrAdapter::action_count() const { return abr::kBitrateCount; }
 
 std::unique_ptr<netgym::Env> AbrAdapter::make_env(
-    const netgym::Config& config, netgym::Rng& rng) const {
+    const netgym::Config& config, const netgym::Trace* trace_or_null,
+    netgym::Rng& rng) const {
   const abr::AbrEnvConfig cfg = abr::abr_config_from_point(config);
-  if (!traces_.corpus.empty() && rng.bernoulli(traces_.trace_prob)) {
-    const netgym::Trace& trace =
-        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng);
-    return abr::make_abr_env(cfg, trace, rng);
-  }
-  return abr::make_abr_env(cfg, rng);
+  return trace_or_null != nullptr
+             ? abr::make_abr_env(cfg, *trace_or_null, rng)
+             : abr::make_abr_env(cfg, rng);
+}
+
+const std::vector<std::string>& AbrAdapter::metric_names() const {
+  static const std::vector<std::string> kNames = {
+      "episode_reward", "rebuffer_s", "bitrate_mbps"};
+  return kNames;
+}
+
+void AbrAdapter::episode_metrics(const netgym::Env& env,
+                                 const netgym::EpisodeStats& stats,
+                                 double out[3]) const {
+  const auto& totals = dynamic_cast<const abr::AbrEnv&>(env).totals();
+  out[0] = stats.mean_reward;
+  out[1] = totals.mean_rebuffer_s();
+  out[2] = totals.mean_bitrate_mbps();
 }
 
 std::unique_ptr<netgym::Env> AbrAdapter::make_env_from_trace(
@@ -505,8 +544,8 @@ std::unique_ptr<rl::ActorCriticBase> AbrAdapter::make_trainer(
 
 CcAdapter::CcAdapter(int space_id, TraceMixOptions traces,
                      bool use_packet_sim)
-    : space_(cc::cc_config_space(space_id)),
-      traces_(std::move(traces)),
+    : TaskAdapter(std::move(traces)),
+      space_(cc::cc_config_space(space_id)),
       use_packet_sim_(use_packet_sim),
       space_id_(space_id) {}
 
@@ -518,17 +557,42 @@ std::string CcAdapter::dist_spec() const {
 int CcAdapter::obs_size() const { return cc::CcEnv::kObsSize; }
 int CcAdapter::action_count() const { return cc::kRateActionCount; }
 
-std::unique_ptr<netgym::Env> CcAdapter::make_env(const netgym::Config& config,
-                                                 netgym::Rng& rng) const {
+std::unique_ptr<netgym::Env> CcAdapter::make_env(
+    const netgym::Config& config, const netgym::Trace* trace_or_null,
+    netgym::Rng& rng) const {
   const cc::CcEnvConfig cfg = cc::cc_config_from_point(config);
-  if (!traces_.corpus.empty() && rng.bernoulli(traces_.trace_prob)) {
-    const netgym::Trace& trace =
-        matching_trace(traces_.corpus, cfg.max_bw_mbps, rng);
-    if (use_packet_sim_) return cc::make_packet_cc_env(cfg, trace, rng);
-    return cc::make_cc_env(cfg, trace, rng);
+  if (use_packet_sim_) {
+    return trace_or_null != nullptr
+               ? cc::make_packet_cc_env(cfg, *trace_or_null, rng)
+               : cc::make_packet_cc_env(cfg, rng);
   }
-  if (use_packet_sim_) return cc::make_packet_cc_env(cfg, rng);
-  return cc::make_cc_env(cfg, rng);
+  return trace_or_null != nullptr ? cc::make_cc_env(cfg, *trace_or_null, rng)
+                                  : cc::make_cc_env(cfg, rng);
+}
+
+const std::vector<std::string>& CcAdapter::metric_names() const {
+  static const std::vector<std::string> kNames = {
+      "episode_reward", "queue_delay_s", "throughput_mbps"};
+  return kNames;
+}
+
+void CcAdapter::episode_metrics(const netgym::Env& env,
+                                const netgym::EpisodeStats& stats,
+                                double out[3]) const {
+  // Queueing delay above the propagation floor, and delivered throughput;
+  // both backends expose the same totals/config/clock API.
+  const auto link_metrics = [out](const auto& e) {
+    out[1] = std::max(
+        e.totals().mean_latency_s() - e.config().min_rtt_ms / 1000.0, 0.0);
+    out[2] = e.totals().mean_throughput_mbps(std::max(e.clock_s(), 1e-9));
+  };
+  out[0] = stats.mean_reward;
+  // PacketCcEnv is not a CcEnv: branch on the backend make_env chose.
+  if (use_packet_sim_) {
+    link_metrics(dynamic_cast<const cc::PacketCcEnv&>(env));
+  } else {
+    link_metrics(dynamic_cast<const cc::CcEnv&>(env));
+  }
 }
 
 std::unique_ptr<netgym::Env> CcAdapter::make_env_from_trace(
@@ -606,9 +670,28 @@ std::string LbAdapter::dist_spec() const {
 int LbAdapter::obs_size() const { return lb::LbEnv::kObsSize; }
 int LbAdapter::action_count() const { return lb::kNumServers; }
 
-std::unique_ptr<netgym::Env> LbAdapter::make_env(const netgym::Config& config,
-                                                 netgym::Rng& rng) const {
+std::unique_ptr<netgym::Env> LbAdapter::make_env(
+    const netgym::Config& config, const netgym::Trace* trace_or_null,
+    netgym::Rng& rng) const {
+  if (trace_or_null != nullptr) {
+    throw std::invalid_argument("lb: task has no trace-driven environments");
+  }
   return lb::make_lb_env(lb::lb_config_from_point(config), rng);
+}
+
+const std::vector<std::string>& LbAdapter::metric_names() const {
+  static const std::vector<std::string> kNames = {
+      "episode_reward", "job_slowdown", "job_delay_s"};
+  return kNames;
+}
+
+void LbAdapter::episode_metrics(const netgym::Env& env,
+                                const netgym::EpisodeStats& stats,
+                                double out[3]) const {
+  const auto& totals = dynamic_cast<const lb::LbEnv&>(env).totals();
+  out[0] = stats.mean_reward;
+  out[1] = totals.mean_slowdown();
+  out[2] = totals.mean_delay_s();
 }
 
 std::vector<std::string> LbAdapter::baseline_names() const {

@@ -7,6 +7,12 @@
 
 namespace genet {
 
+/// The text model file of the zoo, CLI and benches: the parameter count, then
+/// one exact (17-digit) value per line. Throw std::runtime_error on failure.
+void write_model_file(const std::string& path,
+                      const std::vector<double>& params);
+std::vector<double> read_model_file(const std::string& path);
+
 /// Tiny on-disk cache of trained policy parameters, shared by the benchmark
 /// harnesses so that, e.g., the Genet-trained ABR policy used by Fig. 9 is
 /// trained once and reused by Figs. 10, 13, 15 and 17. Keys are canonical

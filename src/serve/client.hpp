@@ -39,7 +39,7 @@ class Client {
   /// with an error frame (the message is included).
   ActResponse act(std::uint64_t session_id, const double* obs, std::size_t n);
 
-  /// Drop the session's server-side state.
+  /// End a session; answered after every earlier request of that session.
   void close_session(std::uint64_t session_id);
 
   /// Write raw pre-encoded frames (loops over short sends, MSG_NOSIGNAL).

@@ -50,7 +50,7 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 enum class MsgType : std::uint8_t {
   kHello = 0x01,    ///< negotiate; learn the served policy's shape & version
   kAct = 0x02,      ///< one observation for one session -> one action
-  kClose = 0x03,    ///< forget a session's server-side state
+  kClose = 0x03,    ///< end a session (answered after its earlier acts)
   kHelloOk = 0x81,
   kActOk = 0x82,
   kCloseOk = 0x83,

@@ -112,11 +112,9 @@ void Server::stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   if (stop_.exchange(true)) return;
 
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes accept(); the fd is closed only after the accept thread
+  // joins, so accept_loop never reads a closed (and maybe recycled) fd.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     // Wake blocked readers; their recv() returns 0/-1 and they exit.
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -128,6 +126,10 @@ void Server::stop() {
   for (auto& shard : shards_) shard->cv.notify_all();
 
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   {
     // All reader threads must be gone before the shard workers drain, so no
     // new request can arrive behind a worker's final pass.
@@ -235,31 +237,21 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     }
     case MsgType::kAct: {
       ActRequest req = decode_act(body);
-      Pending item;
-      item.conn = conn;
-      item.session_id = req.session_id;
-      item.obs = std::move(req.obs);
-      item.arrival = std::chrono::steady_clock::now();
-      enqueue(std::move(item));
+      enqueue({conn, req.session_id, std::move(req.obs), false,
+               std::chrono::steady_clock::now()});
       return;
     }
-    case MsgType::kClose: {
-      Pending item;
-      item.conn = conn;
-      item.session_id = decode_close(body);
-      item.close_session = true;
-      item.arrival = std::chrono::steady_clock::now();
-      enqueue(std::move(item));
+    case MsgType::kClose:
+      enqueue({conn, decode_close(body), {}, true, {}});
       return;
-    }
     default:
       throw ProtocolError("unexpected server-bound message type");
   }
 }
 
 void Server::enqueue(Pending&& item) {
-  // Sessions are pinned to shards by their id, so one shard owns all of a
-  // session's state and requests for it stay FIFO.
+  // Sessions are pinned to shards by their id, so one shard answers all of
+  // a session's requests, in arrival order.
   const std::size_t s =
       std::hash<std::uint64_t>{}(item.session_id) % shards_.size();
   Shard& shard = *shards_[s];
@@ -297,7 +289,6 @@ void Server::shard_loop(Shard& shard) {
   std::unique_ptr<rl::MlpPolicy> policy;
   std::uint32_t policy_version = 0;
   std::vector<Pending> batch;
-  std::vector<Pending*> acts;
   std::vector<double> rows;
   std::vector<netgym::Rng*> rngs;
   std::vector<int> actions;
@@ -338,73 +329,73 @@ void Server::shard_loop(Shard& shard) {
     }
     const std::size_t obs_size = static_cast<std::size_t>(current->obs_size());
 
-    acts.clear();
+    // One fused forward over the well-formed acts of the batch.
+    const auto is_act = [&](const Pending& item) {
+      return !item.close_session && item.obs.size() == obs_size;
+    };
     rows.clear();
-    for (Pending& item : batch) {
+    std::size_t n = 0;
+    for (const Pending& item : batch) {
+      if (!is_act(item)) continue;
+      rows.insert(rows.end(), item.obs.begin(), item.obs.end());
+      ++n;
+    }
+    auto forward_end = drained;
+    double forward_s = 0.0;
+    double batch_s = 0.0;
+    if (n > 0) {
+      rngs.assign(n, &greedy_rng);
+      actions.resize(n);
+      const auto forward_start = std::chrono::steady_clock::now();
+      policy->act_batch(rows.data(), n, rngs.data(), actions.data());
+      forward_end = std::chrono::steady_clock::now();
+      batches.add();
+      batch_size.record(static_cast<double>(n));
+      forward_s =
+          std::chrono::duration<double>(forward_end - forward_start).count();
+      batch_s =
+          std::chrono::duration<double>(forward_start - drained).count();
+    }
+
+    // Answer in queue order, after the forward: a close or a rejected act
+    // never overtakes an earlier act of the same session.
+    std::size_t next_action = 0;
+    for (const Pending& item : batch) {
+      out.clear();
       if (item.close_session) {
-        shard.sessions.erase(item.session_id);
-        out.clear();
         encode_close_ok(out, item.session_id);
         send_all(*item.conn, out);
         continue;
       }
-      if (item.obs.size() != obs_size) {
+      if (!is_act(item)) {
         // Semantic error: answer with a diagnostic but keep the connection
         // (the stream itself is fine).
         rejects.add();
-        out.clear();
         encode_error(out, "act: expected " + std::to_string(obs_size) +
                               " observation values, got " +
                               std::to_string(item.obs.size()));
         send_all(*item.conn, out);
         continue;
       }
-      rows.insert(rows.end(), item.obs.begin(), item.obs.end());
-      acts.push_back(&item);
-    }
+      ActResponse resp;
+      resp.session_id = item.session_id;
+      resp.action = actions[next_action++];
+      resp.policy_version = policy_version;
+      encode_act_ok(out, resp);
+      send_all(*item.conn, out);
 
-    if (!acts.empty()) {
-      const std::size_t n = acts.size();
-      rngs.assign(n, &greedy_rng);
-      actions.resize(n);
-      const auto forward_start = std::chrono::steady_clock::now();
-      policy->act_batch(rows.data(), n, rngs.data(), actions.data());
-      const auto forward_end = std::chrono::steady_clock::now();
-      batches.add();
-      batch_size.record(static_cast<double>(n));
-      const double forward_s =
-          std::chrono::duration<double>(forward_end - forward_start).count();
-      const double batch_s =
-          std::chrono::duration<double>(forward_start - drained).count();
-
-      for (std::size_t i = 0; i < n; ++i) {
-        Pending& item = *acts[i];
-        SessionState& session = shard.sessions[item.session_id];
-        ++session.requests;
-        session.last_action = actions[i];
-        session.last_version = policy_version;
-
-        ActResponse resp;
-        resp.session_id = item.session_id;
-        resp.action = actions[i];
-        resp.policy_version = policy_version;
-        out.clear();
-        encode_act_ok(out, resp);
-        send_all(*item.conn, out);
-
-        const auto done = std::chrono::steady_clock::now();
-        requests.add();
-        latency.record(
-            std::chrono::duration<double>(forward_end - item.arrival).count());
-        phase_queue.record(
-            std::chrono::duration<double>(drained - item.arrival).count());
-        phase_batch.record(batch_s);
-        phase_forward.record(forward_s);
-        phase_write.record(
-            std::chrono::duration<double>(done - forward_end).count());
-        phase_total.record(
-            std::chrono::duration<double>(done - item.arrival).count());
-      }
+      const auto done = std::chrono::steady_clock::now();
+      requests.add();
+      latency.record(
+          std::chrono::duration<double>(forward_end - item.arrival).count());
+      phase_queue.record(
+          std::chrono::duration<double>(drained - item.arrival).count());
+      phase_batch.record(batch_s);
+      phase_forward.record(forward_s);
+      phase_write.record(
+          std::chrono::duration<double>(done - forward_end).count());
+      phase_total.record(
+          std::chrono::duration<double>(done - item.arrival).count());
     }
   }
 }

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/frame.hpp"
@@ -34,11 +33,13 @@ namespace serve {
 //   + a watcher thread polling the checkpoint directory for hot swaps
 //   + an optional telemetry exporter emitting periodic registry snapshots
 //
-// Each shard owns the per-session state of the sessions that hash to it and
-// a private executable copy of the policy (the MLP's forward scratch is
-// mutable, so sharing one network across shards would race); a hot swap just
-// bumps the PolicyStore version and every shard rebuilds its copy before its
-// next batch. Responses carry the version that computed them, which is how
+// The server keeps no per-session state: sessions are pinned to shards by
+// id, and a shard answers its batch in queue order after the forward pass,
+// so each connection's requests within a shard are answered in arrival order.
+// Each shard owns a private executable copy of the policy (the MLP's forward
+// scratch is mutable, so sharing one network across shards would race); a
+// hot swap just bumps the PolicyStore version and every shard rebuilds its
+// copy before its next batch. Responses carry the version that computed them, which is how
 // the load bench proves a mid-flight swap without dropped requests.
 
 struct ServerOptions {
@@ -101,20 +102,13 @@ class Server {
     std::uint64_t session_id = 0;
     std::vector<double> obs;
     bool close_session = false;
-    std::chrono::steady_clock::time_point arrival;
-  };
-
-  struct SessionState {
-    std::int64_t requests = 0;
-    int last_action = 0;
-    std::uint32_t last_version = 0;
+    std::chrono::steady_clock::time_point arrival;  ///< acts only
   };
 
   struct Shard {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Pending> queue;
-    std::unordered_map<std::uint64_t, SessionState> sessions;
     std::thread worker;
   };
 

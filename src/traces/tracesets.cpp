@@ -50,10 +50,10 @@ std::uint64_t trace_seed(TraceSet set, bool test_split, int index) {
 const TraceSetInfo& info(TraceSet set) {
   // Counts follow Table 2's train/test proportions, scaled down ~4x to keep
   // full-corpus evaluations fast on one core.
-  static const TraceSetInfo kFcc{"FCC", true, 21, 72, 320.0};
-  static const TraceSetInfo kNorway{"Norway", true, 29, 77, 320.0};
-  static const TraceSetInfo kCellular{"Cellular", false, 34, 30, 30.0};
-  static const TraceSetInfo kEthernet{"Ethernet", false, 16, 28, 30.0};
+  static const TraceSetInfo kFcc{"FCC", "abr", 21, 72, 320.0};
+  static const TraceSetInfo kNorway{"Norway", "abr", 29, 77, 320.0};
+  static const TraceSetInfo kCellular{"Cellular", "cc", 34, 30, 30.0};
+  static const TraceSetInfo kEthernet{"Ethernet", "cc", 16, 28, 30.0};
   switch (set) {
     case TraceSet::kFcc:
       return kFcc;

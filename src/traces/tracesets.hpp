@@ -18,7 +18,7 @@ enum class TraceSet { kFcc, kNorway, kCellular, kEthernet };
 
 struct TraceSetInfo {
   std::string name;
-  bool for_abr = false;   ///< FCC/Norway drive ABR; Cellular/Ethernet drive CC
+  std::string task;       ///< FCC/Norway drive "abr"; Cellular/Ethernet "cc"
   int train_count = 0;    ///< corpus sizes follow the proportions of Table 2
   int test_count = 0;
   double duration_s = 0;

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <typeinfo>
+
 #include "abr/baselines.hpp"
 #include "abr/env.hpp"
 #include "cc/env.hpp"
+#include "cc/packet_sim.hpp"
 #include "lb/env.hpp"
 #include "traces/tracesets.hpp"
 
@@ -173,6 +178,93 @@ TEST(Adapters, PacketBackendProducesPacketEnvs) {
       std::invalid_argument);
 }
 
+TEST(TaskRegistry, SpecRoundTripsEveryTaskAndSpace) {
+  for (const std::string task : {"abr", "cc", "lb"}) {
+    for (int space_id = 1; space_id <= 3; ++space_id) {
+      const auto a = genet::make_adapter(task, space_id);
+      EXPECT_EQ(a->dist_spec(), task + "/" + std::to_string(space_id));
+      const auto b = genet::make_adapter_from_spec(a->dist_spec());
+      EXPECT_EQ(b->name(), task);
+      EXPECT_EQ(b->dist_spec(), a->dist_spec());
+      EXPECT_EQ(b->obs_size(), a->obs_size());
+      EXPECT_EQ(b->action_count(), a->action_count());
+      EXPECT_EQ(b->metric_names(), a->metric_names());
+      ASSERT_EQ(b->space().dims(), a->space().dims());
+      for (std::size_t i = 0; i < a->space().dims(); ++i) {
+        EXPECT_EQ(b->space().param(i).name, a->space().param(i).name);
+        EXPECT_EQ(b->space().param(i).lo, a->space().param(i).lo);
+        EXPECT_EQ(b->space().param(i).hi, a->space().param(i).hi);
+      }
+    }
+  }
+}
+
+TEST(TaskRegistry, RejectsUnknownTasksAndMalformedSpecs) {
+  EXPECT_THROW(genet::make_adapter("dns", 1), std::invalid_argument);
+  EXPECT_THROW(genet::make_adapter("abr", 4), std::invalid_argument);
+  for (const char* spec :
+       {"dns/1", "abr/0", "abr/4", "abr/", "abr/1x", "abr", "/1", ""}) {
+    EXPECT_THROW(genet::make_adapter_from_spec(spec), std::invalid_argument)
+        << spec;
+  }
+}
+
+TEST(TaskRegistry, LbRejectsAnExplicitTrace) {
+  const auto lb = genet::make_adapter("lb", 3);
+  Rng rng(1);
+  const netgym::Trace trace =
+      traces::make_trace(traces::TraceSet::kFcc, false, 0);
+  EXPECT_THROW(lb->make_env(lb->space().midpoint(), &trace, rng),
+               std::invalid_argument);
+}
+
+TEST(TaskRegistry, TraceMixDrawsBernoulliThenMatchingTraceThenExplicitTrace) {
+  // make_env(config, rng) is the explicit-trace constructor behind two
+  // draws; replaying those draws by hand must give the same env and leave
+  // the stream in the same state.
+  genet::TraceMixOptions mix;
+  mix.corpus = traces::make_corpus(traces::TraceSet::kFcc, false);
+  mix.trace_prob = 0.5;
+  const auto mixed = genet::make_adapter("abr", 2, mix);
+  const auto plain = genet::make_adapter("abr", 2);
+  Rng sample_rng(3);
+  for (int i = 0; i < 20; ++i) {
+    const netgym::Config config = plain->space().sample(sample_rng);
+    Rng a(100 + i);
+    Rng b = a;
+    auto env_a = mixed->make_env(config, a);
+    const netgym::Trace* trace = nullptr;
+    if (b.bernoulli(mix.trace_prob)) {
+      trace = &genet::matching_trace(
+          mix.corpus, abr::abr_config_from_point(config).max_bw_mbps, b);
+    }
+    auto env_b = plain->make_env(config, trace, b);
+    EXPECT_EQ(dynamic_cast<abr::AbrEnv&>(*env_a).trace().bandwidth_mbps,
+              dynamic_cast<abr::AbrEnv&>(*env_b).trace().bandwidth_mbps);
+    EXPECT_EQ(a.state(), b.state());
+  }
+}
+
+TEST(TaskRegistry, PacketBackendReportsFluidMetrics) {
+  const genet::CcAdapter fluid(3);
+  const genet::CcAdapter packet(3, {}, /*use_packet_sim=*/true);
+  EXPECT_EQ(packet.metric_names(), fluid.metric_names());
+  Rng rng(5);
+  auto env = packet.make_env(packet.space().midpoint(), rng);
+  ASSERT_NE(dynamic_cast<cc::PacketCcEnv*>(env.get()), nullptr);
+  FixedAction policy(4);
+  const netgym::EpisodeStats stats = netgym::run_episode(*env, policy, rng);
+  double out[3] = {};
+  packet.episode_metrics(*env, stats, out);
+  EXPECT_EQ(out[0], stats.mean_reward);
+  EXPECT_GE(out[1], 0.0);
+  EXPECT_GT(out[2], 0.0);
+  EXPECT_TRUE(std::isfinite(out[1]) && std::isfinite(out[2]));
+  // The fluid adapter's metrics read a CcEnv; a packet env is rejected
+  // instead of being misread.
+  EXPECT_THROW(fluid.episode_metrics(*env, stats, out), std::bad_cast);
+}
+
 TEST(Adapters, FluidTrainedPolicyRunsOnPacketBackend) {
   // Cross-backend transfer: train briefly on the fluid simulator, evaluate
   // on the packet simulator without any shape changes.
@@ -188,17 +280,12 @@ TEST(Adapters, FluidTrainedPolicyRunsOnPacketBackend) {
 }
 
 TEST(Adapters, TraceDrivenEnvsWorkForEveryMatchingSet) {
-  genet::AbrAdapter abr_adapter(3);
-  genet::CcAdapter cc_adapter(3);
   Rng rng(4);
   FixedAction policy(0);
   for (auto set : traces::all_sets()) {
     const netgym::Trace trace = traces::make_trace(set, true, 0);
-    genet::TaskAdapter& adapter =
-        traces::info(set).for_abr
-            ? static_cast<genet::TaskAdapter&>(abr_adapter)
-            : static_cast<genet::TaskAdapter&>(cc_adapter);
-    auto env = adapter.make_env_from_trace(trace, rng);
+    const auto adapter = genet::make_adapter(traces::info(set).task, 3);
+    auto env = adapter->make_env_from_trace(trace, rng);
     const auto stats = netgym::run_episode(*env, policy, rng);
     EXPECT_GT(stats.steps, 0) << traces::info(set).name;
   }

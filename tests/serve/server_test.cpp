@@ -85,16 +85,16 @@ TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
   opt.batch_window_us = 100;
   auto server = start_server(ckpt, opt);
 
-  const std::unique_ptr<rl::MlpPolicy> reference =
-      serve::load_policy_checkpoint(ckpt).instantiate();
-  netgym::Rng dummy(0);  // greedy argmax never draws from it
-
   constexpr int kClients = 4;
   constexpr int kPerClient = 64;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
+      // Per-thread reference: forward passes write the network's scratch.
+      const std::unique_ptr<rl::MlpPolicy> reference =
+          serve::load_policy_checkpoint(ckpt).instantiate();
+      netgym::Rng dummy(0);  // greedy argmax never draws from it
       serve::Client client = serve::Client::connect_tcp(server->port());
       for (int i = 0; i < kPerClient; ++i) {
         const std::uint64_t sid =
@@ -208,6 +208,35 @@ TEST(ServeServer, CloseSessionDropsStateAndAnswers) {
   client.close_session(5);
   // Closing a session that never existed is also answered, not an error.
   client.close_session(999);
+}
+
+TEST(ServeServer, PipelinedRequestsAreAnsweredInArrivalOrder) {
+  // act, rejected act and close of one session written in a single send
+  // land in one batch; the answers must come back in request order, with
+  // the close after the act it follows.
+  const fs::path dir = test_dir("order");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  opt.batch_window_us = 20000;  // hold the batch open for the whole write
+  auto server = start_server(write_policy(dir / "p.ckpt", 1), opt);
+  serve::Client client = serve::Client::connect_tcp(server->port());
+  const std::vector<double> obs = make_obs(6);
+  const std::vector<double> wrong(kObs + 1, 0.5);
+  for (std::uint64_t sid = 1; sid <= 5; ++sid) {
+    std::string out;
+    serve::encode_act(out, sid, obs.data(), obs.size());
+    serve::encode_act(out, sid, wrong.data(), wrong.size());
+    serve::encode_close(out, sid);
+    client.send_raw(out);
+    const std::string act = client.read_frame();
+    ASSERT_EQ(serve::type_of(act), serve::MsgType::kActOk) << sid;
+    EXPECT_EQ(serve::decode_act_ok(act).session_id, sid);
+    ASSERT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kError)
+        << sid;
+    const std::string close = client.read_frame();
+    ASSERT_EQ(serve::type_of(close), serve::MsgType::kCloseOk) << sid;
+    EXPECT_EQ(serve::decode_close_ok(close), sid);
+  }
 }
 
 TEST(ServeServer, HotSwapChangesServedVersionWithZeroFailures) {

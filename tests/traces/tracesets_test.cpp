@@ -16,10 +16,10 @@ TEST(TraceSets, InfoIsConsistent) {
     EXPECT_GT(meta.test_count, 0);
     EXPECT_GT(meta.duration_s, 0.0);
   }
-  EXPECT_TRUE(traces::info(TraceSet::kFcc).for_abr);
-  EXPECT_TRUE(traces::info(TraceSet::kNorway).for_abr);
-  EXPECT_FALSE(traces::info(TraceSet::kCellular).for_abr);
-  EXPECT_FALSE(traces::info(TraceSet::kEthernet).for_abr);
+  EXPECT_EQ(traces::info(TraceSet::kFcc).task, "abr");
+  EXPECT_EQ(traces::info(TraceSet::kNorway).task, "abr");
+  EXPECT_EQ(traces::info(TraceSet::kCellular).task, "cc");
+  EXPECT_EQ(traces::info(TraceSet::kEthernet).task, "cc");
 }
 
 class TraceSetValidity : public ::testing::TestWithParam<TraceSet> {};

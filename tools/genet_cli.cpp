@@ -32,6 +32,7 @@
 #include "fleet/report.hpp"
 #include "genet/adapter.hpp"
 #include "genet/curriculum.hpp"
+#include "genet/zoo.hpp"
 #include "netgym/checkpoint.hpp"
 #include "netgym/exposition.hpp"
 #include "netgym/flight.hpp"
@@ -147,28 +148,6 @@ every command also accepts:
 
 using Options = std::map<std::string, std::string>;
 
-void save_params(const std::string& path, const std::vector<double>& params) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out.precision(17);
-  out << params.size() << "\n";
-  for (double p : params) out << p << "\n";
-}
-
-std::vector<double> load_params(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::size_t n = 0;
-  in >> n;
-  std::vector<double> params(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(in >> params[i])) {
-      throw std::runtime_error("truncated model file " + path);
-    }
-  }
-  return params;
-}
-
 Options parse(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
@@ -243,15 +222,6 @@ double get_double(const Options& options, const std::string& key,
   return parse_number(key, it->second);
 }
 
-std::unique_ptr<genet::TaskAdapter> adapter_for(const Options& options) {
-  const std::string task = require(options, "task");
-  const int space = get_int(options, "space", 3);
-  if (task == "abr") return std::make_unique<genet::AbrAdapter>(space);
-  if (task == "cc") return std::make_unique<genet::CcAdapter>(space);
-  if (task == "lb") return std::make_unique<genet::LbAdapter>(space);
-  usage("unknown --task (want abr|cc|lb)");
-}
-
 std::string default_baseline(const genet::TaskAdapter& adapter) {
   return adapter.baseline_names().front();
 }
@@ -274,7 +244,8 @@ std::string checkpoint_dir_of(const Options& options) {
 }
 
 int cmd_train(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string method = get(options, "method", "genet");
   const std::string out = require(options, "out");
   const std::uint64_t seed = get_seed(options);
@@ -422,20 +393,16 @@ int cmd_train(const Options& options) {
                 "death\n",
                 static_cast<long long>(coordinator->reassignments()));
   }
-  save_params(out, params);
+  genet::write_model_file(out, params);
   std::printf("saved %zu parameters to %s\n", params.size(), out.c_str());
   return 0;
 }
 
 int cmd_eval(const Options& options) {
-  auto adapter = adapter_for(options);
-  const std::string model = require(options, "model");
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  policy.set_greedy(true);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
+  const auto policy = genet::make_policy(
+      *adapter, genet::read_model_file(require(options, "model")));
 
   if (options.count("trace-set") != 0U) {
     const traces::TraceSet set = trace_set_for(require(options, "trace-set"));
@@ -443,7 +410,7 @@ int cmd_eval(const Options& options) {
     const auto corpus = traces::make_corpus(set, test);
     netgym::Rng rng(9);
     const auto rewards =
-        genet::test_per_trace(*adapter, policy, corpus, rng);
+        genet::test_per_trace(*adapter, *policy, corpus, rng);
     std::printf("%zu traces from %s (%s split): mean reward %.4f "
                 "(min %.4f, median %.4f, max %.4f)\n",
                 corpus.size(), traces::info(set).name.c_str(),
@@ -455,7 +422,7 @@ int cmd_eval(const Options& options) {
     netgym::ConfigDistribution dist(adapter->space());
     netgym::Rng rng(77);
     const double reward =
-        genet::test_on_distribution(*adapter, policy, dist, envs, rng);
+        genet::test_on_distribution(*adapter, *policy, dist, envs, rng);
     std::printf("%d synthetic environments: mean reward %.4f\n", envs,
                 reward);
   }
@@ -463,25 +430,22 @@ int cmd_eval(const Options& options) {
 }
 
 int cmd_search(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string model = require(options, "model");
   const std::string baseline =
       get(options, "baseline", default_baseline(*adapter));
   const int trials = get_int(options, "trials", 15);
   const std::uint64_t seed = get_seed(options);
 
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  policy.set_greedy(true);
+  const auto policy =
+      genet::make_policy(*adapter, genet::read_model_file(model));
 
   genet::SearchOptions search;
   search.bo_trials = trials;
   genet::GenetScheme scheme(baseline, search);
   netgym::Rng rng(seed);
-  const auto selection = scheme.select(*adapter, policy, 0, rng);
+  const auto selection = scheme.select(*adapter, *policy, 0, rng);
   std::printf("best gap-to-%s after %d BO trials: %.4f at\n",
               baseline.c_str(), trials, selection.score);
   const netgym::ConfigSpace& space = adapter->space();
@@ -521,25 +485,24 @@ int cmd_trace(const Options& options) {
 }
 
 int cmd_export(const Options& options) {
-  auto adapter = adapter_for(options);
+  auto adapter = genet::make_adapter(require(options, "task"),
+                                     get_int(options, "space", 3));
   const std::string model = require(options, "model");
   const std::string out = require(options, "out");
   const auto parent = std::filesystem::path(out).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
-  netgym::Rng init(0);
-  rl::TrainerOptions defaults;
-  rl::MlpPolicy policy(adapter->obs_size(), adapter->action_count(),
-                       defaults.hidden, init);
-  policy.restore(load_params(model));
-  serve::write_policy_checkpoint(policy, adapter->name(), out);
+  const auto policy =
+      genet::make_policy(*adapter, genet::read_model_file(model));
+  serve::write_policy_checkpoint(*policy, adapter->name(), out);
   std::printf("exported %s policy (%zu parameters) to %s\n",
-              adapter->name().c_str(), policy.snapshot().size(), out.c_str());
+              adapter->name().c_str(), policy->snapshot().size(), out.c_str());
   return 0;
 }
 
 int cmd_fleet(const Options& options) {
   const std::string task = require(options, "task");
-  fleet::metric_names(task);  // validates the task name before heavy setup
+  // Validates the task name before heavy setup; the space is irrelevant.
+  const auto adapter = genet::make_adapter(task, 1);
 
   std::unique_ptr<rl::MlpPolicy> policy;
   if (options.count("checkpoint") != 0U) {
@@ -551,13 +514,8 @@ int cmd_fleet(const Options& options) {
     }
     policy = version.instantiate();
   } else {
-    const std::string model = require(options, "model");
-    netgym::Rng init(0);
-    rl::TrainerOptions defaults;
-    policy = std::make_unique<rl::MlpPolicy>(fleet::task_obs_size(task),
-                                             fleet::task_action_count(task),
-                                             defaults.hidden, init);
-    policy->restore(load_params(model));
+    policy = genet::make_policy(
+        *adapter, genet::read_model_file(require(options, "model")));
   }
   policy->set_greedy(true);
 
