@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "cc/env.hpp"
 
@@ -49,10 +50,24 @@ double utilization_of(netgym::Policy& policy, double bw_mbps,
   return env.totals().mean_throughput_mbps(cfg.duration_s) / bw_mbps;
 }
 
+/// A controller under test. gtest prints a bare `const char*` parameter as
+/// its run-time address, so ctest names built from it changed with every
+/// build and, under ASLR, every test discovery. Each case instead prints a
+/// fixed tag: the address its name carried when the case was first
+/// registered, which keeps the ctest names of these cases stable.
+struct ControllerCase {
+  const char* name;
+  const char* tag;
+};
+
+void PrintTo(const ControllerCase& c, std::ostream* os) {
+  *os << c.tag << " pointing to \"" << c.name << '"';
+}
+
 /// All rule-based controllers must reach reasonable utilization on a stable
 /// link without melting down on latency/loss.
 class ControllerUtilization
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {
+    : public ::testing::TestWithParam<std::tuple<ControllerCase, double>> {
  public:
   static std::unique_ptr<netgym::Policy> make(const std::string& name) {
     if (name == "cubic") return std::make_unique<cc::CubicPolicy>();
@@ -64,7 +79,8 @@ class ControllerUtilization
 };
 
 TEST_P(ControllerUtilization, ReachesDecentUtilization) {
-  const auto& [name, bw] = GetParam();
+  const auto& [controller, bw] = GetParam();
+  const char* name = controller.name;
   auto policy = make(name);
   const double util = utilization_of(*policy, bw);
   EXPECT_GT(util, 0.5) << name << " at " << bw << " Mbps";
@@ -73,8 +89,12 @@ TEST_P(ControllerUtilization, ReachesDecentUtilization) {
 
 INSTANTIATE_TEST_SUITE_P(
     Controllers, ControllerUtilization,
-    ::testing::Combine(::testing::Values("cubic", "bbr", "vivace", "copa"),
-                       ::testing::Values(2.0, 10.0, 40.0)));
+    ::testing::Combine(
+        ::testing::Values(ControllerCase{"cubic", "0x55fa55700fec"},
+                          ControllerCase{"bbr", "0x55fa55700ff2"},
+                          ControllerCase{"vivace", "0x55fa55700ff6"},
+                          ControllerCase{"copa", "0x55fa55700ffd"}),
+        ::testing::Values(2.0, 10.0, 40.0)));
 
 TEST(Cubic, BacksOffOnLoss) {
   // Cubic's reward collapses under random loss relative to lossless
