@@ -1,6 +1,6 @@
 // Load harness for the serving daemon (DESIGN.md S5g): drives ~1e5
-// simulated concurrent sessions through the batched request-coalescing
-// path and reports exact (sorted, not histogram-bucketed) request-latency
+// simulated concurrent sessions through the batched serving path and
+// reports exact (sorted, not histogram-bucketed) request-latency
 // percentiles plus sustained requests/sec.
 //
 // Two modes:
@@ -60,9 +60,7 @@ struct Config {
   int rounds = 4;          // act requests per session
   int connections = 16;    // client connections (one thread each)
   int window = 64;         // pipelined requests in flight per connection
-  int shards = 4;          // self-mode server shards
-  int batch_max = 64;
-  int batch_window_us = 100;
+  int shards = 4;          // self-mode server event loops
   bool swap = true;
   // External mode: target an already-running daemon.
   int port = 0;
@@ -81,9 +79,7 @@ struct Config {
   --rounds N            act requests per session (default 4)
   --connections N       client connections, one thread each (default 16)
   --window N            pipelined requests per connection (default 64)
-  --shards N            self-mode server shards (default 4)
-  --batch-max N         self-mode batch size cap (default 64)
-  --batch-window-us N   self-mode straggler wait (default 100)
+  --shards N            self-mode server event loops (default 4)
   --no-swap             skip the mid-run hot-swap check
   --port N              external mode: drive 127.0.0.1:N instead of an
                         in-process server
@@ -119,11 +115,6 @@ Config parse_args(int argc, char** argv) {
       cfg.window = static_cast<int>(int_arg(i, "--window", 1, 65536));
     else if (a == "--shards")
       cfg.shards = static_cast<int>(int_arg(i, "--shards", 1, 256));
-    else if (a == "--batch-max")
-      cfg.batch_max = static_cast<int>(int_arg(i, "--batch-max", 1, 65536));
-    else if (a == "--batch-window-us")
-      cfg.batch_window_us =
-          static_cast<int>(int_arg(i, "--batch-window-us", 0, 10'000'000));
     else if (a == "--no-swap") cfg.swap = false;
     else if (a == "--port")
       cfg.port = static_cast<int>(int_arg(i, "--port", 1, 65535));
@@ -307,8 +298,6 @@ void write_json(const std::string& path, const Config& cfg, bool self_mode,
   out << "  \"connections\": " << cfg.connections << ",\n";
   out << "  \"window\": " << cfg.window << ",\n";
   out << "  \"shards\": " << cfg.shards << ",\n";
-  out << "  \"batch_max\": " << cfg.batch_max << ",\n";
-  out << "  \"batch_window_us\": " << cfg.batch_window_us << ",\n";
   out << "  \"requests_total\": " << requests_total << ",\n";
   out << "  \"ok_requests\": " << ok << ",\n";
   out << "  \"failed_requests\": " << failed << ",\n";
@@ -395,8 +384,6 @@ int main(int argc, char** argv) {
       serve::ServerOptions sopt;
       sopt.tcp_port = 0;
       sopt.shards = cfg.shards;
-      sopt.batch_max = cfg.batch_max;
-      sopt.batch_window_us = cfg.batch_window_us;
       sopt.watch_dir = watch_dir;
       sopt.watch_poll_ms = 20;  // aggressive: the swap must land mid-run
       server = std::make_unique<serve::Server>(sopt);

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -495,7 +496,7 @@ Snapshot decode_file_bytes(std::string_view bytes, const std::string& what) {
 void write_file(const Snapshot& snap, const std::string& path) {
   netgym::tracing::TraceSpan span("checkpoint.save", "checkpoint");
   namespace tel = netgym::telemetry;
-  tel::ScopedTimer timing(tel::Registry::instance().timer("checkpoint.save"));
+  const auto started = std::chrono::steady_clock::now();
 
   const std::string contents = encode_file_bytes(snap);
 
@@ -530,6 +531,9 @@ void write_file(const Snapshot& snap, const std::string& path) {
     ::close(dfd);
   }
 
+  tel::Registry::instance().histogram("checkpoint.save_s").record(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count());
   tel::Registry::instance().counter("checkpoint.saves").add();
   tel::Registry::instance()
       .counter("checkpoint.bytes_written")
@@ -545,7 +549,7 @@ void write_file(const Snapshot& snap, const std::string& path) {
 Snapshot read_file(const std::string& path) {
   netgym::tracing::TraceSpan span("checkpoint.load", "checkpoint");
   namespace tel = netgym::telemetry;
-  tel::ScopedTimer timing(tel::Registry::instance().timer("checkpoint.load"));
+  const auto started = std::chrono::steady_clock::now();
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -556,6 +560,9 @@ Snapshot read_file(const std::string& path) {
   const std::string contents = buffer.str();
 
   Snapshot snap = decode_file_bytes(contents, "'" + path + "'");
+  tel::Registry::instance().histogram("checkpoint.load_s").record(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+          .count());
   tel::Registry::instance().counter("checkpoint.loads").add();
   if (tel::logging_enabled()) {
     tel::log_event("checkpoint_load", 0,

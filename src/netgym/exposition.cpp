@@ -90,13 +90,6 @@ std::string render_prometheus(const std::vector<Registry::Entry>& entries) {
         out += "# TYPE " + name + " gauge\n";
         append_sample(out, name, "", e.value);
         break;
-      case Registry::Kind::kTimer:
-        // A timer is (total seconds, op count): a quantile-less summary.
-        out += "# TYPE " + name + " summary\n";
-        append_sample(out, name + "_sum", "", e.value);
-        append_sample(out, name + "_count", "",
-                      static_cast<double>(e.count));
-        break;
       case Registry::Kind::kHistogram:
         append_summary(out, name, e.hist);
         break;

@@ -16,9 +16,8 @@ namespace serve {
 ///  - request/response: hello() / act() / close_session() block for the
 ///    matching reply;
 ///  - pipelined: queue frames with encode_* into one buffer, push it with
-///    send_raw(), then pull replies with read_frame() -- replies to one
-///    connection may interleave across batching shards, so match them by
-///    session id.
+///    send_raw(), then pull replies with read_frame() -- one connection's
+///    replies arrive in request order, each carrying its session id.
 class Client {
  public:
   /// Connect to 127.0.0.1:port; throws std::runtime_error on failure.

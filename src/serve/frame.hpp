@@ -26,8 +26,8 @@ namespace serve {
 // prefix or a partial body just means "wait for more bytes"; a zero-length
 // or oversized prefix is a protocol error and the server drops the
 // connection after an error frame. Requests carry a client-chosen session id
-// so responses can be matched under pipelining (responses to one connection
-// may interleave across batching shards in any order).
+// so responses can be matched under pipelining. One connection's replies
+// arrive in request order; a session's requests must use one connection.
 
 /// Hard ceiling on one frame body; an advertised length above this is a
 /// ProtocolError, not an allocation. Generous for any MLP observation row

@@ -2,11 +2,15 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,17 +21,94 @@ namespace serve {
 
 namespace telemetry = netgym::telemetry;
 
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
 }
+
+/// One client connection, owned by exactly one loop thread.
+struct Connection {
+  explicit Connection(int socket) : fd(socket) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  /// May be read: not hung up and not backed up behind unsent output.
+  bool readable() const {
+    return !hangup && !dead && out.size() <= Server::kMaxPendingOutput;
+  }
+
+  int fd;
+  FrameReader reader;
+  std::string out;            ///< encoded replies send() has not taken yet
+  std::string error;          ///< protocol error, answered after the batch
+  bool more = false;          ///< reader may still hold complete frames
+  bool flush = false;         ///< send `out` at the end of this pass
+  bool hangup = false;        ///< read no more; close once `out` is sent
+  bool dead = false;          ///< socket failed; drop without sending
+  Clock::time_point received; ///< when the last recv() returned
+  Clock::time_point flushed;  ///< when this pass's send() returned
+};
+
+/// One frame taken into a loop pass's batch.
+struct Request {
+  Connection* conn = nullptr;
+  MsgType type = MsgType::kHello;
+  std::uint64_t session_id = 0;
+  std::vector<double> obs;
+  Clock::time_point arrival;  ///< the recv() that completed the frame
+  bool acted = false;         ///< a well-formed act, answered by the forward
+};
+
+/// Decode one server-bound frame body; throws ProtocolError when it is
+/// malformed or not a request.
+Request decode_request(Connection& conn, std::string_view body) {
+  Request r;
+  r.conn = &conn;
+  r.type = type_of(body);
+  r.arrival = conn.received;
+  switch (r.type) {
+    case MsgType::kHello:
+      break;
+    case MsgType::kAct: {
+      ActRequest act = decode_act(body);
+      r.session_id = act.session_id;
+      r.obs = std::move(act.obs);
+      break;
+    }
+    case MsgType::kClose:
+      r.session_id = decode_close(body);
+      break;
+    default:
+      throw ProtocolError("unexpected server-bound message type");
+  }
+  return r;
+}
+
+/// One send() of the connection's pending output. MSG_NOSIGNAL: a client
+/// that hung up yields EPIPE here instead of a process-killing SIGPIPE, and
+/// the connection is dropped. Whatever the kernel does not take now waits
+/// for POLLOUT.
+void send_pending(Connection& conn) {
+  const ssize_t n =
+      ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+  if (n > 0) {
+    conn.out.erase(0, static_cast<std::size_t>(n));
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    conn.dead = true;
+    telemetry::Registry::instance().counter("serve.dropped_responses").add();
+  }
+}
+
+}  // namespace
 
 Server::Server(ServerOptions options) : opt_(std::move(options)) {
   if (opt_.shards < 1) throw std::invalid_argument("Server: shards must be >= 1");
-  if (opt_.batch_max < 1) {
-    throw std::invalid_argument("Server: batch_max must be >= 1");
-  }
-  if (opt_.batch_window_us < 0 || opt_.watch_poll_ms < 1) {
-    throw std::invalid_argument("Server: bad batching/watch options");
+  if (opt_.watch_poll_ms < 1) {
+    throw std::invalid_argument("Server: watch_poll_ms must be >= 1");
   }
 }
 
@@ -39,31 +120,31 @@ void Server::start() {
     throw std::runtime_error("Server: no policy loaded (load a checkpoint "
                              "into store() before start)");
   }
-  stop_.store(false);
-
+  const auto fail = [this](const std::string& what) {
+    const std::string reason = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error(what + " failed: " + reason);
+  };
+  const int type = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
   if (!opt_.unix_path.empty()) {
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("socket(AF_UNIX) failed");
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (opt_.unix_path.size() >= sizeof(addr.sun_path)) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
       throw std::runtime_error("unix socket path too long: " + opt_.unix_path);
     }
     std::strncpy(addr.sun_path, opt_.unix_path.c_str(),
                  sizeof(addr.sun_path) - 1);
+    listen_fd_ = ::socket(AF_UNIX, type, 0);
+    if (listen_fd_ < 0) fail("socket(AF_UNIX)");
     ::unlink(opt_.unix_path.c_str());  // stale socket from a previous run
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
         0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("bind(" + opt_.unix_path +
-                               ") failed: " + std::strerror(errno));
+      fail("bind(" + opt_.unix_path + ")");
     }
   } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("socket(AF_INET) failed");
+    listen_fd_ = ::socket(AF_INET, type, 0);
+    if (listen_fd_ < 0) fail("socket(AF_INET)");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
@@ -72,31 +153,21 @@ void Server::start() {
     addr.sin_port = htons(static_cast<std::uint16_t>(opt_.tcp_port));
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
         0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("bind(127.0.0.1:" +
-                               std::to_string(opt_.tcp_port) +
-                               ") failed: " + std::strerror(errno));
+      fail("bind(127.0.0.1:" + std::to_string(opt_.tcp_port) + ")");
     }
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
   }
-  if (::listen(listen_fd_, 512) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error(std::string("listen failed: ") +
-                             std::strerror(errno));
-  }
+  if (::listen(listen_fd_, 512) < 0) fail("listen");
+  stop_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (stop_fd_ < 0) fail("eventfd");
 
-  shards_.clear();
-  for (int s = 0; s < opt_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+  loop_conns_ = std::make_unique<std::atomic<int>[]>(
+      static_cast<std::size_t>(opt_.shards));
+  for (int l = 0; l < opt_.shards; ++l) {
+    loops_.emplace_back([this, l] { serve_loop(static_cast<std::size_t>(l)); });
   }
-  for (auto& shard : shards_) {
-    shard->worker = std::thread([this, &shard] { shard_loop(*shard); });
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
   if (!opt_.watch_dir.empty()) {
     watch_thread_ = std::thread([this] { watch_loop(); });
   }
@@ -110,172 +181,50 @@ void Server::stop() {
   // One caller performs the teardown; concurrent callers (e.g. a signal
   // handler path racing the destructor) block here until it is complete.
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  if (stop_.exchange(true)) return;
+  if (!running_.load()) return;
 
-  // shutdown() wakes accept(); the fd is closed only after the accept thread
-  // joins, so accept_loop never reads a closed (and maybe recycled) fd.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    // Wake blocked readers; their recv() returns 0/-1 and they exit.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) {
-      if (conn->open.load()) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  tick_cv_.notify_all();
-  for (auto& shard : shards_) shard->cv.notify_all();
-
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    // All reader threads must be gone before the shard workers drain, so no
-    // new request can arrive behind a worker's final pass.
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    conns_cv_.wait(lock, [this] {
-      return live_conns_.load(std::memory_order_relaxed) == 0;
-    });
-  }
-  for (auto& shard : shards_) shard->cv.notify_all();
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
+  // Never read, so the eventfd stays readable and wakes every poll at once.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t wrote = ::write(stop_fd_, &one, sizeof(one));
+  for (std::thread& loop : loops_) loop.join();
+  loops_.clear();
   if (watch_thread_.joinable()) watch_thread_.join();
   if (export_thread_.joinable()) export_thread_.join();
+  ::close(listen_fd_);
+  ::close(stop_fd_);
+  listen_fd_ = stop_fd_ = -1;
   if (!opt_.unix_path.empty()) ::unlink(opt_.unix_path.c_str());
   running_.store(false);
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stop_.load()) return;
-      if (errno == EINTR) continue;
-      return;  // listener broken; stop() tears the rest down
-    }
-    if (opt_.unix_path.empty()) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    telemetry::Registry::instance().counter("serve.connections").add();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (stop_.load()) return;  // conn's destructor closes the socket
-      conns_.push_back(conn);
-      live_conns_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Detached: connection_loop unregisters itself on exit, and stop()
-    // blocks until live_conns_ drains, so no detached thread outlives the
-    // Server.
-    std::thread([this, conn = std::move(conn)]() mutable {
-      connection_loop(std::move(conn));
-    }).detach();
+bool Server::least_loaded(std::size_t loop) const {
+  const int held = loop_conns_[loop].load(std::memory_order_relaxed);
+  for (int l = 0; l < opt_.shards; ++l) {
+    if (loop_conns_[l].load(std::memory_order_relaxed) < held) return false;
   }
+  return true;
 }
 
-void Server::connection_loop(std::shared_ptr<Connection> conn) {
-  FrameReader reader;
-  char buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // disconnect (0) or error; either way we are done
-    reader.feed(buf, static_cast<std::size_t>(n));
-    try {
-      while (auto body = reader.next()) {
-        handle_frame(conn, *body);
-      }
-    } catch (const ProtocolError& e) {
-      // The byte stream is unrecoverable (bad prefix / unknown type):
-      // explain, then hang up. Semantic errors never land here.
-      telemetry::Registry::instance().counter("serve.protocol_errors").add();
-      std::string out;
-      encode_error(out, e.what());
-      send_all(*conn, out);
-      break;
-    }
-  }
-  conn->open.store(false);
-  // Shut down but do NOT close: shard workers may still hold this
-  // Connection for in-flight responses (their sends fail with EPIPE, which
-  // send_all absorbs). The fd closes in ~Connection when the last
-  // shared_ptr drops, so a write can never land on a recycled descriptor.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-      if (it->get() == conn.get()) {
-        conns_.erase(it);
-        break;
-      }
-    }
-    live_conns_.fetch_sub(1, std::memory_order_relaxed);
-    // Notify under the lock: stop() may destroy the Server the moment it
-    // observes zero live connections, so this thread must touch no member
-    // after releasing conns_mu_.
-    conns_cv_.notify_all();
-  }
+bool Server::wait_for_stop(int ms) const {
+  pollfd p{stop_fd_, POLLIN, 0};
+  return ::poll(&p, 1, ms) > 0;
 }
 
-void Server::handle_frame(const std::shared_ptr<Connection>& conn,
-                          std::string_view body) {
-  switch (type_of(body)) {
-    case MsgType::kHello: {
-      const auto policy = store_.current();
-      HelloResponse resp;
-      resp.obs_size = static_cast<std::uint32_t>(policy->obs_size());
-      resp.action_count = static_cast<std::uint32_t>(policy->action_count());
-      resp.policy_version = policy->version;
-      std::string out;
-      encode_hello_ok(out, resp);
-      send_all(*conn, out);
-      return;
-    }
-    case MsgType::kAct: {
-      ActRequest req = decode_act(body);
-      enqueue({conn, req.session_id, std::move(req.obs), false,
-               std::chrono::steady_clock::now()});
-      return;
-    }
-    case MsgType::kClose:
-      enqueue({conn, decode_close(body), {}, true, {}});
-      return;
-    default:
-      throw ProtocolError("unexpected server-bound message type");
-  }
-}
-
-void Server::enqueue(Pending&& item) {
-  // Sessions are pinned to shards by their id, so one shard answers all of
-  // a session's requests, in arrival order.
-  const std::size_t s =
-      std::hash<std::uint64_t>{}(item.session_id) % shards_.size();
-  Shard& shard = *shards_[s];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.queue.push_back(std::move(item));
-  }
-  shard.cv.notify_one();
-}
-
-void Server::shard_loop(Shard& shard) {
-  // Cached per-shard metric handles: one relaxed atomic op per event.
+void Server::serve_loop(std::size_t self) {
+  // Cached metric handles: one relaxed atomic op per event.
   telemetry::Registry& reg = telemetry::Registry::instance();
+  telemetry::Counter& connections = reg.counter("serve.connections");
   telemetry::Counter& requests = reg.counter("serve.requests");
   telemetry::Counter& batches = reg.counter("serve.batches");
   telemetry::Counter& rejects = reg.counter("serve.rejected_requests");
-  telemetry::Histogram& latency = reg.histogram("serve.request_s");
+  telemetry::Counter& protocol_errors = reg.counter("serve.protocol_errors");
   telemetry::Histogram& batch_size = reg.histogram("serve.batch_size");
-  // Per-request latency attribution (DESIGN.md S5j): the end-to-end time of
-  // every acted request splits exactly into queue wait (arrival -> drained
-  // from the shard queue), batch formation (drained -> forward start),
-  // forward (the fused act_batch call), and write-back (forward end -> the
-  // response handed to the socket). The four phase durations sum to
-  // serve.phase.total_s per request by construction.
+  // Per-request latency attribution (DESIGN.md S5j): the time of every
+  // acted request, from the recv() that completed its frame to the send()
+  // that handed its answer to the kernel, splits exactly into queue (recv ->
+  // the pass's batch is taken), batch (-> forward start), forward (the
+  // fused act_batch call) and write (forward end -> send returned). The four
+  // phase durations sum to serve.phase.total_s per request by construction.
   telemetry::Histogram& phase_queue = reg.histogram("serve.phase.queue_s");
   telemetry::Histogram& phase_batch = reg.histogram("serve.phase.batch_s");
   telemetry::Histogram& phase_forward = reg.histogram("serve.phase.forward_s");
@@ -288,182 +237,233 @@ void Server::shard_loop(Shard& shard) {
 
   std::unique_ptr<rl::MlpPolicy> policy;
   std::uint32_t policy_version = 0;
-  std::vector<Pending> batch;
+  std::vector<std::unique_ptr<Connection>> conns;
+  std::vector<pollfd> fds;
+  std::vector<Request> batch;
   std::vector<double> rows;
   std::vector<netgym::Rng*> rngs;
   std::vector<int> actions;
-  std::string out;
+  std::size_t first = 0;  // connection the batch starts from, rotated
+  char buf[64 * 1024];
 
   for (;;) {
+    // Poll set: the stop fd, the listener, then each connection for input
+    // unless it still has frames buffered (then poll does not block) or is
+    // backed up, and for output while it has unsent bytes.
+    bool buffered = false;
+    fds.clear();
+    fds.push_back({stop_fd_, POLLIN, 0});
+    fds.push_back({listen_fd_, POLLIN, 0});
+    for (const auto& conn : conns) {
+      short events = conn->out.empty() ? 0 : POLLOUT;
+      if (conn->readable()) {
+        if (conn->more) {
+          buffered = true;
+        } else {
+          events |= POLLIN;
+        }
+      }
+      fds.push_back({conn->fd, events, 0});
+    }
+    if (::poll(fds.data(), fds.size(), buffered ? 0 : -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (fds[0].revents != 0) break;  // stop()
+    if ((fds[1].revents & POLLIN) != 0 && least_loaded(self)) {
+      // Another loop may have taken it first: EAGAIN, nothing to do. A
+      // busier loop leaves the connection to a least-loaded one, which
+      // polls the listener too, so connections spread evenly.
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        if (opt_.unix_path.empty()) {
+          const int one = 1;
+          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        }
+        conns.push_back(std::make_unique<Connection>(fd));
+        loop_conns_[self].fetch_add(1, std::memory_order_relaxed);
+        connections.add();
+      }
+    }
+
+    // Read each ready connection once. A connection is read only when its
+    // reader holds no complete frame, so its input stays bounded too.
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
+      Connection& conn = *conns[i];
+      const short revents = fds[i + 2].revents;
+      if ((revents & POLLOUT) != 0) conn.flush = true;
+      if ((revents & POLLIN) != 0) {
+        const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+        if (n > 0) {
+          conn.reader.feed(buf, static_cast<std::size_t>(n));
+          conn.received = Clock::now();
+          conn.more = true;
+        } else if (n == 0) {
+          conn.hangup = true;  // the client is done sending
+        } else if (errno != EAGAIN && errno != EINTR) {
+          conn.dead = true;
+        }
+      } else if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        conn.dead = true;
+      }
+    }
+
+    // Take up to kBatchMax frames, starting one connection further each
+    // pass so a flooding client cannot starve the others.
     batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(shard.mu);
-      shard.cv.wait(lock, [&] { return stop_.load() || !shard.queue.empty(); });
-      if (shard.queue.empty()) return;  // stop requested and fully drained
-      // Batching window: once the first request is in, wait briefly for
-      // stragglers so concurrent sessions fuse into one forward pass, but
-      // never hold a full batch back.
-      if (static_cast<int>(shard.queue.size()) < opt_.batch_max &&
-          opt_.batch_window_us > 0) {
-        shard.cv.wait_for(
-            lock, std::chrono::microseconds(opt_.batch_window_us), [&] {
-              return stop_.load() ||
-                     static_cast<int>(shard.queue.size()) >= opt_.batch_max;
-            });
-      }
-      while (!shard.queue.empty() &&
-             static_cast<int>(batch.size()) < opt_.batch_max) {
-        batch.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
+    for (std::size_t k = 0; k < conns.size() && batch.size() < kBatchMax;
+         ++k) {
+      Connection& conn = *conns[(first + k) % conns.size()];
+      if (!conn.more || !conn.readable()) continue;
+      try {
+        while (batch.size() < kBatchMax) {
+          const std::optional<std::string> body = conn.reader.next();
+          if (!body) {
+            conn.more = false;
+            break;
+          }
+          batch.push_back(decode_request(conn, *body));
+        }
+      } catch (const ProtocolError& e) {
+        // The byte stream is unrecoverable (bad prefix / unknown type):
+        // answer what came before, explain, then hang up. Semantic errors
+        // never land here.
+        protocol_errors.add();
+        conn.error = e.what();
+        conn.more = false;
+        conn.hangup = true;
       }
     }
-    // One drain timestamp covers the whole batch: everything queued behind
-    // it left the shard queue at this instant.
-    const auto drained = std::chrono::steady_clock::now();
+    first = conns.empty() ? 0 : (first + 1) % conns.size();
 
-    // Refresh this shard's executable policy if a hot swap landed.
-    const auto current = store_.current();
-    if (policy == nullptr || policy_version != current->version) {
-      policy = current->instantiate();
-      policy_version = current->version;
-    }
-    const std::size_t obs_size = static_cast<std::size_t>(current->obs_size());
-
-    // One fused forward over the well-formed acts of the batch.
-    const auto is_act = [&](const Pending& item) {
-      return !item.close_session && item.obs.size() == obs_size;
-    };
-    rows.clear();
-    std::size_t n = 0;
-    for (const Pending& item : batch) {
-      if (!is_act(item)) continue;
-      rows.insert(rows.end(), item.obs.begin(), item.obs.end());
-      ++n;
-    }
-    auto forward_end = drained;
-    double forward_s = 0.0;
-    double batch_s = 0.0;
-    if (n > 0) {
-      rngs.assign(n, &greedy_rng);
-      actions.resize(n);
-      const auto forward_start = std::chrono::steady_clock::now();
-      policy->act_batch(rows.data(), n, rngs.data(), actions.data());
-      forward_end = std::chrono::steady_clock::now();
-      batches.add();
-      batch_size.record(static_cast<double>(n));
-      forward_s =
-          std::chrono::duration<double>(forward_end - forward_start).count();
-      batch_s =
-          std::chrono::duration<double>(forward_start - drained).count();
-    }
-
-    // Answer in queue order, after the forward: a close or a rejected act
-    // never overtakes an earlier act of the same session.
-    std::size_t next_action = 0;
-    for (const Pending& item : batch) {
-      out.clear();
-      if (item.close_session) {
-        encode_close_ok(out, item.session_id);
-        send_all(*item.conn, out);
-        continue;
+    Clock::time_point drained, forward_start, forward_end;
+    if (!batch.empty()) {
+      drained = Clock::now();
+      // Refresh this loop's executable policy if a hot swap landed.
+      const auto current = store_.current();
+      if (policy == nullptr || policy_version != current->version) {
+        policy = current->instantiate();
+        policy_version = current->version;
       }
-      if (!is_act(item)) {
-        // Semantic error: answer with a diagnostic but keep the connection
-        // (the stream itself is fine).
-        rejects.add();
-        encode_error(out, "act: expected " + std::to_string(obs_size) +
-                              " observation values, got " +
-                              std::to_string(item.obs.size()));
-        send_all(*item.conn, out);
-        continue;
-      }
-      ActResponse resp;
-      resp.session_id = item.session_id;
-      resp.action = actions[next_action++];
-      resp.policy_version = policy_version;
-      encode_act_ok(out, resp);
-      send_all(*item.conn, out);
+      const std::size_t obs_size =
+          static_cast<std::size_t>(current->obs_size());
 
-      const auto done = std::chrono::steady_clock::now();
+      // One fused forward over the well-formed acts of the batch.
+      rows.clear();
+      std::size_t n = 0;
+      for (Request& r : batch) {
+        r.acted = r.type == MsgType::kAct && r.obs.size() == obs_size;
+        if (!r.acted) continue;
+        rows.insert(rows.end(), r.obs.begin(), r.obs.end());
+        ++n;
+      }
+      forward_start = forward_end = drained;
+      if (n > 0) {
+        rngs.assign(n, &greedy_rng);
+        actions.resize(n);
+        forward_start = Clock::now();
+        policy->act_batch(rows.data(), n, rngs.data(), actions.data());
+        forward_end = Clock::now();
+        batches.add();
+        batch_size.record(static_cast<double>(n));
+      }
+
+      // Answer every frame in arrival order: a close or a rejected act
+      // never overtakes an earlier request of its connection.
+      std::size_t next_action = 0;
+      for (const Request& r : batch) {
+        std::string& out = r.conn->out;
+        r.conn->flush = true;
+        if (r.acted) {
+          ActResponse resp;
+          resp.session_id = r.session_id;
+          resp.action = actions[next_action++];
+          resp.policy_version = policy_version;
+          encode_act_ok(out, resp);
+        } else if (r.type == MsgType::kHello) {
+          HelloResponse resp;
+          resp.obs_size = static_cast<std::uint32_t>(current->obs_size());
+          resp.action_count =
+              static_cast<std::uint32_t>(current->action_count());
+          resp.policy_version = policy_version;
+          encode_hello_ok(out, resp);
+        } else if (r.type == MsgType::kClose) {
+          encode_close_ok(out, r.session_id);
+        } else {
+          // Semantic error: answer with a diagnostic but keep the
+          // connection (the stream itself is fine).
+          rejects.add();
+          encode_error(out, "act: expected " + std::to_string(obs_size) +
+                                " observation values, got " +
+                                std::to_string(r.obs.size()));
+        }
+      }
+    }
+
+    // One send per connection with new answers or room in its socket.
+    for (const auto& conn : conns) {
+      if (!conn->error.empty()) {
+        encode_error(conn->out, conn->error);
+        conn->error.clear();
+        conn->flush = true;
+      }
+      if (!conn->flush) continue;
+      conn->flush = false;
+      if (!conn->dead && !conn->out.empty()) send_pending(*conn);
+      conn->flushed = Clock::now();
+    }
+    for (const Request& r : batch) {
+      if (!r.acted) continue;
       requests.add();
-      latency.record(
-          std::chrono::duration<double>(forward_end - item.arrival).count());
-      phase_queue.record(
-          std::chrono::duration<double>(drained - item.arrival).count());
-      phase_batch.record(batch_s);
-      phase_forward.record(forward_s);
-      phase_write.record(
-          std::chrono::duration<double>(done - forward_end).count());
-      phase_total.record(
-          std::chrono::duration<double>(done - item.arrival).count());
+      phase_queue.record(seconds(r.arrival, drained));
+      phase_batch.record(seconds(drained, forward_start));
+      phase_forward.record(seconds(forward_start, forward_end));
+      phase_write.record(seconds(forward_end, r.conn->flushed));
+      phase_total.record(seconds(r.arrival, r.conn->flushed));
     }
+
+    // Drop connections that failed or have said everything.
+    const auto gone = [](const std::unique_ptr<Connection>& conn) {
+      return conn->dead || (conn->hangup && conn->out.empty());
+    };
+    const auto kept = std::remove_if(conns.begin(), conns.end(), gone);
+    loop_conns_[self].fetch_sub(static_cast<int>(conns.end() - kept),
+                                std::memory_order_relaxed);
+    conns.erase(kept, conns.end());
   }
 }
 
 void Server::watch_loop() {
-  std::unique_lock<std::mutex> lock(tick_mu_);
-  while (!stop_.load()) {
-    tick_cv_.wait_for(lock, std::chrono::milliseconds(opt_.watch_poll_ms));
-    if (stop_.load()) return;
-    lock.unlock();
-    store_.poll(opt_.watch_dir);
-    lock.lock();
-  }
+  while (!wait_for_stop(opt_.watch_poll_ms)) store_.poll(opt_.watch_dir);
 }
 
 void Server::export_loop() {
   // Puffer's log-reporter pattern: a sidecar loop that periodically posts
   // the process's metric snapshot to the structured sink, so a long-lived
   // daemon leaves a queryable time series rather than only an exit dump.
-  const auto started = std::chrono::steady_clock::now();
+  const auto started = Clock::now();
   telemetry::Gauge& uptime = telemetry::Registry::instance().gauge(
       "serve.uptime_s");
-  std::unique_lock<std::mutex> lock(tick_mu_);
-  while (!stop_.load()) {
-    tick_cv_.wait_for(lock, std::chrono::seconds(opt_.metrics_interval_s));
-    if (stop_.load()) return;
-    lock.unlock();
-    uptime.set(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             started)
-                   .count());
-    if (telemetry::logging_enabled()) {
-      std::vector<telemetry::Field> fields;
-      const auto policy = store_.current();
-      fields.emplace_back("policy_version",
-                          static_cast<std::int64_t>(policy->version));
-      for (const auto& entry : telemetry::Registry::instance().snapshot()) {
-        if (entry.kind == telemetry::Registry::Kind::kHistogram) {
-          fields.emplace_back(entry.name + ".count", entry.hist.count);
-          fields.emplace_back(entry.name + ".p50", entry.hist.p50);
-          fields.emplace_back(entry.name + ".p90", entry.hist.p90);
-          fields.emplace_back(entry.name + ".p99", entry.hist.p99);
-          fields.emplace_back(entry.name + ".max", entry.hist.max);
-        } else {
-          fields.emplace_back(entry.name, entry.value);
-        }
+  while (!wait_for_stop(opt_.metrics_interval_s * 1000)) {
+    uptime.set(seconds(started, Clock::now()));
+    if (!telemetry::logging_enabled()) continue;
+    std::vector<telemetry::Field> fields;
+    const auto policy = store_.current();
+    fields.emplace_back("policy_version",
+                        static_cast<std::int64_t>(policy->version));
+    for (const auto& entry : telemetry::Registry::instance().snapshot()) {
+      if (entry.kind == telemetry::Registry::Kind::kHistogram) {
+        fields.emplace_back(entry.name + ".count", entry.hist.count);
+        fields.emplace_back(entry.name + ".p50", entry.hist.p50);
+        fields.emplace_back(entry.name + ".p90", entry.hist.p90);
+        fields.emplace_back(entry.name + ".p99", entry.hist.p99);
+        fields.emplace_back(entry.name + ".max", entry.hist.max);
+      } else {
+        fields.emplace_back(entry.name, entry.value);
       }
-      telemetry::log_event("serve_metrics", 0, fields);
     }
-    lock.lock();
-  }
-}
-
-void Server::send_all(Connection& conn, std::string_view bytes) {
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  if (!conn.open.load()) return;
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    // MSG_NOSIGNAL: a client that hung up mid-request yields EPIPE here
-    // instead of a process-killing SIGPIPE.
-    const ssize_t n = ::send(conn.fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      conn.open.store(false);
-      telemetry::Registry::instance().counter("serve.dropped_responses").add();
-      return;
-    }
-    sent += static_cast<std::size_t>(n);
+    telemetry::log_event("serve_metrics", 0, fields);
   }
 }
 

@@ -1,10 +1,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,30 +14,32 @@
 namespace serve {
 
 // The serving daemon's engine (DESIGN.md S5g): a socket front end that
-// coalesces concurrent action requests into batched policy inference.
+// answers action requests with batched policy inference.
 //
-// Thread shape:
+// Thread shape: `shards` event-loop threads, each owning its connections
+// outright. Every loop polls the shared non-blocking listener, a stop
+// eventfd and its own non-blocking connections; one pass
 //
-//   accept thread --> one reader thread per connection
-//                         | decode frames, route by hash(session_id)
-//                         v
-//                 N batching shards (one worker thread each)
-//                         | drain up to batch_max requests, waiting at most
-//                         | batch_window_us for stragglers, then one
-//                         | rl::MlpPolicy::act_batch forward
-//                         v
-//                 responses written back on each request's own connection
-//   + a watcher thread polling the checkpoint directory for hot swaps
-//   + an optional telemetry exporter emitting periodic registry snapshots
+//   accepts a connection (if the listener is ready and no loop holds
+//   fewer connections than this one), reads each ready connection once,
+//   takes up to kBatchMax frames from the connections' frame readers, runs
+//   one rl::MlpPolicy::act_batch over the well-formed acts among them,
+//   encodes every frame's answer in arrival order into its connection's
+//   output buffer, and flushes each buffer with one send.
 //
-// The server keeps no per-session state: sessions are pinned to shards by
-// id, and a shard answers its batch in queue order after the forward pass,
-// so each connection's requests within a shard are answered in arrival order.
-// Each shard owns a private executable copy of the policy (the MLP's forward
-// scratch is mutable, so sharing one network across shards would race); a
-// hot swap just bumps the PolicyStore version and every shard rebuilds its
-// copy before its next batch. Responses carry the version that computed them, which is how
-// the load bench proves a mid-flight swap without dropped requests.
+// plus a watcher thread polling the checkpoint directory for hot swaps and
+// an optional telemetry exporter emitting periodic registry snapshots.
+//
+// No request ever crosses a thread, so there are no queues, locks or
+// shared connection lifetimes: one connection's replies leave in request
+// order, and a session's requests must use one connection. A loop stops
+// reading a connection while that connection's unsent output is above
+// kMaxPendingOutput, so a client that never reads costs bounded memory and
+// stalls only itself. Each loop owns a private executable copy of the policy
+// (the MLP's forward scratch is mutable); a hot swap bumps the PolicyStore
+// version and every loop rebuilds its copy before its next batch. Responses
+// carry the version that computed them, which is how the load bench proves
+// a mid-flight swap without dropped requests.
 
 struct ServerOptions {
   /// Serve on this Unix socket path when non-empty; otherwise on
@@ -48,9 +47,7 @@ struct ServerOptions {
   std::string unix_path;
   int tcp_port = 0;
 
-  int shards = 2;            ///< batching shards (worker threads)
-  int batch_max = 64;        ///< max requests fused into one forward pass
-  int batch_window_us = 200; ///< how long a shard waits for stragglers
+  int shards = 2;  ///< event-loop threads
 
   /// Checkpoint directory to watch for hot swaps ("" disables watching).
   std::string watch_dir;
@@ -64,6 +61,11 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Most frames one loop pass answers (and acts fused into one forward).
+  static constexpr std::size_t kBatchMax = 64;
+  /// A connection is not read while more unsent output than this is queued.
+  static constexpr std::size_t kMaxPendingOutput = 256 * 1024;
+
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -78,8 +80,8 @@ class Server {
   /// std::runtime_error on socket failures.
   void start();
 
-  /// Graceful shutdown: stop accepting, drain shard queues, join every
-  /// thread. Idempotent; also run by the destructor.
+  /// Shutdown: wake every thread through the stop eventfd, join them, and
+  /// close every socket. Idempotent; also run by the destructor.
   void stop();
 
   /// Actual TCP port (after an ephemeral bind); 0 when serving a Unix path.
@@ -88,74 +90,30 @@ class Server {
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
  private:
-  struct Connection {
-    ~Connection();  ///< closes the fd: destroyed only when no thread can write
-
-    int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
-  };
-
-  /// One queued act (or session-close) request, routed to its shard.
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t session_id = 0;
-    std::vector<double> obs;
-    bool close_session = false;
-    std::chrono::steady_clock::time_point arrival;  ///< acts only
-  };
-
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Pending> queue;
-    std::thread worker;
-  };
-
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> conn);
-  void shard_loop(Shard& shard);
+  void serve_loop(std::size_t loop);
   void watch_loop();
   void export_loop();
 
-  /// Dispatch one decoded frame from `conn`; throws ProtocolError on a
-  /// malformed body (the reader closes the connection).
-  void handle_frame(const std::shared_ptr<Connection>& conn,
-                    std::string_view body);
+  /// True while no loop holds fewer connections than `loop`.
+  bool least_loaded(std::size_t loop) const;
 
-  void enqueue(Pending&& item);
-
-  /// Serialized write of `bytes` to a connection (MSG_NOSIGNAL, loops over
-  /// short sends); marks the connection dead on any error instead of
-  /// raising, so a client that disconnected mid-request is just dropped.
-  static void send_all(Connection& conn, std::string_view bytes);
+  /// Sleep up to `ms` milliseconds; true once stop() has been called.
+  bool wait_for_stop(int ms) const;
 
   ServerOptions opt_;
   PolicyStore store_;
 
   int listen_fd_ = -1;
+  int stop_fd_ = -1;  ///< eventfd, made readable once by stop()
   int port_ = 0;
   std::mutex stop_mu_;  ///< serializes stop() against concurrent callers
-  std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
 
-  std::thread accept_thread_;
+  std::vector<std::thread> loops_;
+  /// Open connections per loop; only a least-loaded loop accepts.
+  std::unique_ptr<std::atomic<int>[]> loop_conns_;
   std::thread watch_thread_;
   std::thread export_thread_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Reader threads are detached and self-unregistering: a disconnecting
-  // client frees its slot (and, once the last shard response drops its
-  // shared_ptr, its fd) immediately, so a long-lived daemon does not
-  // accumulate dead sockets. stop() waits for live_conns_ to reach zero.
-  std::mutex conns_mu_;
-  std::condition_variable conns_cv_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::atomic<int> live_conns_{0};
-
-  // Sleep/wake for the watcher and exporter loops (fast shutdown).
-  std::mutex tick_mu_;
-  std::condition_variable tick_cv_;
 };
 
 }  // namespace serve

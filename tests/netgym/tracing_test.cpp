@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -123,26 +124,32 @@ TEST(Tracing, WriteThrowsOnUnwritablePath) {
                std::runtime_error);
 }
 
-TEST(Tracing, PoolWorkersEmitSpansAlongsideScopedTimers) {
-  // Nested ScopedTimer + TraceSpan on worker threads: the pool items each
-  // record one span and one timer sample, and the trace carries the item
-  // spans injected by the pool itself (pool.item, tagged with the index).
+TEST(Tracing, PoolWorkersEmitSpansAlongsideHistograms) {
+  // A TraceSpan nested in a histogram-timed region on worker threads: the
+  // pool items each record one span and one latency sample, and the trace
+  // carries the item spans injected by the pool itself (pool.item, tagged
+  // with the index).
   const std::string path = ::testing::TempDir() + "tracing_pool.json";
   TraceGuard guard(path);
   netgym::telemetry::Registry& reg = netgym::telemetry::Registry::instance();
   reg.reset_all();
-  netgym::telemetry::TimerStat& timer = reg.timer("tracing_test.item");
+  netgym::telemetry::Histogram& item_s = reg.histogram("tracing_test.item_s");
 
   netgym::set_num_threads(4);
   tracing::start(1 << 12);
   netgym::parallel_for_each(32, [&](std::size_t i) {
-    netgym::telemetry::ScopedTimer t(timer);
-    tracing::TraceSpan span("work", "task", static_cast<std::int64_t>(i));
+    const auto started = std::chrono::steady_clock::now();
+    {
+      tracing::TraceSpan span("work", "task", static_cast<std::int64_t>(i));
+    }
+    item_s.record(std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - started)
+                      .count());
   });
   tracing::stop();
   netgym::set_num_threads(0);
 
-  EXPECT_EQ(timer.count(), 32);
+  EXPECT_EQ(item_s.snapshot().count, 32);
   tracing::write_chrome_trace(path);
   const auto lines = read_lines(path);
   EXPECT_EQ(count_containing(lines, "\"name\":\"work\""), 32);

@@ -1,14 +1,21 @@
 // End-to-end tests for the serving daemon engine (serve/server.hpp): batched
 // answers must equal direct greedy policy evaluation, semantic errors keep
 // the connection while protocol errors drop it, a client vanishing
-// mid-request must not take the server down (the no-SIGPIPE contract), and
-// hot swaps must change the served version without failing a single request
+// mid-request must not take the server down (the no-SIGPIPE contract), a
+// client that never reads must stall only itself, one connection's replies
+// keep request order, and hot swaps must change the served version without failing a single request
 // -- including the failed-swap case, where a corrupt checkpoint is skipped
 // and the old policy keeps serving.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -75,14 +82,13 @@ TEST(ServeServer, HelloReportsPolicyShapeAndVersion) {
 }
 
 TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
-  // The batching shards coalesce concurrent requests into act_batch calls;
-  // every served action must equal what the greedy policy computes directly
+  // The event loops fuse concurrent requests into act_batch calls; every
+  // served action must equal what the greedy policy computes directly
   // on the same observation bits.
   const fs::path dir = test_dir("correctness");
   const std::string ckpt = write_policy(dir / "p.ckpt", 7);
   serve::ServerOptions opt;
   opt.shards = 3;
-  opt.batch_window_us = 100;
   auto server = start_server(ckpt, opt);
 
   constexpr int kClients = 4;
@@ -176,7 +182,7 @@ TEST(ServeServer, OversizedLengthPrefixDropsConnection) {
 
 TEST(ServeServer, ClientDisconnectMidRequestDoesNotKillServer) {
   // Pipeline a burst of requests and slam the connection shut before
-  // reading any response: the shard workers will write into a dead socket.
+  // reading any response: the server will write into a dead socket.
   // MSG_NOSIGNAL + the dead-connection path must swallow that (no SIGPIPE,
   // no crash), and the server must keep serving new clients.
   const fs::path dir = test_dir("disconnect");
@@ -211,14 +217,11 @@ TEST(ServeServer, CloseSessionDropsStateAndAnswers) {
 }
 
 TEST(ServeServer, PipelinedRequestsAreAnsweredInArrivalOrder) {
-  // act, rejected act and close of one session written in a single send
-  // land in one batch; the answers must come back in request order, with
-  // the close after the act it follows.
+  // One connection's replies come back in request order: an act, a rejected
+  // act, a hello and a close written in a single send, then one write of
+  // more acts than a single loop pass batches.
   const fs::path dir = test_dir("order");
-  serve::ServerOptions opt;
-  opt.shards = 1;
-  opt.batch_window_us = 20000;  // hold the batch open for the whole write
-  auto server = start_server(write_policy(dir / "p.ckpt", 1), opt);
+  auto server = start_server(write_policy(dir / "p.ckpt", 1));
   serve::Client client = serve::Client::connect_tcp(server->port());
   const std::vector<double> obs = make_obs(6);
   const std::vector<double> wrong(kObs + 1, 0.5);
@@ -226,6 +229,7 @@ TEST(ServeServer, PipelinedRequestsAreAnsweredInArrivalOrder) {
     std::string out;
     serve::encode_act(out, sid, obs.data(), obs.size());
     serve::encode_act(out, sid, wrong.data(), wrong.size());
+    serve::encode_hello(out);
     serve::encode_close(out, sid);
     client.send_raw(out);
     const std::string act = client.read_frame();
@@ -233,10 +237,82 @@ TEST(ServeServer, PipelinedRequestsAreAnsweredInArrivalOrder) {
     EXPECT_EQ(serve::decode_act_ok(act).session_id, sid);
     ASSERT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kError)
         << sid;
+    ASSERT_EQ(serve::type_of(client.read_frame()), serve::MsgType::kHelloOk)
+        << sid;
     const std::string close = client.read_frame();
     ASSERT_EQ(serve::type_of(close), serve::MsgType::kCloseOk) << sid;
     EXPECT_EQ(serve::decode_close_ok(close), sid);
   }
+
+  constexpr std::uint64_t kBurst = 100;
+  static_assert(kBurst > serve::Server::kBatchMax);
+  std::string burst;
+  for (std::uint64_t sid = 100; sid < 100 + kBurst; ++sid) {
+    serve::encode_act(burst, sid, obs.data(), obs.size());
+  }
+  client.send_raw(burst);
+  for (std::uint64_t sid = 100; sid < 100 + kBurst; ++sid) {
+    const std::string act = client.read_frame();
+    ASSERT_EQ(serve::type_of(act), serve::MsgType::kActOk) << sid;
+    EXPECT_EQ(serve::decode_act_ok(act).session_id, sid);
+  }
+}
+
+TEST(ServeServer, NonReadingClientDoesNotStallOtherConnections) {
+  // A client that pipelines acts and never reads its replies stalls only
+  // itself: the server stops reading it once its unsent replies back up,
+  // and the same event loop keeps answering another connection.
+  const fs::path dir = test_dir("stalled");
+  serve::ServerOptions opt;
+  opt.shards = 1;
+  auto server = start_server(write_policy(dir / "p.ckpt", 1), opt);
+
+  const int flood = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(flood, 0);
+  const int small = 4096;
+  ::setsockopt(flood, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server->port()));
+  ASSERT_EQ(::connect(flood, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::fcntl(flood, F_SETFL, O_NONBLOCK);
+
+  const std::vector<double> obs = make_obs(9);
+  std::string chunk;
+  for (std::uint64_t sid = 0; sid < 1024; ++sid) {
+    serve::encode_act(chunk, sid, obs.data(), obs.size());
+  }
+  // Offer 40 MiB; stop early once the server has taken nothing for 500 ms.
+  constexpr std::size_t kOffered = std::size_t{40} << 20;
+  std::size_t pushed = 0;
+  std::size_t at = 0;  // chunk is whole frames, so wrapping keeps framing
+  while (pushed < kOffered) {
+    const ssize_t n = ::send(flood, chunk.data() + at, chunk.size() - at,
+                             MSG_NOSIGNAL);
+    if (n > 0) {
+      pushed += static_cast<std::size_t>(n);
+      at = (at + static_cast<std::size_t>(n)) % chunk.size();
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    pollfd wait{flood, POLLOUT, 0};
+    if (::poll(&wait, 1, 500) == 0) break;
+  }
+
+  serve::Client other = serve::Client::connect_tcp(server->port());
+  std::string act;
+  serve::encode_act(act, 7, obs.data(), obs.size());
+  other.send_raw(act);
+  pollfd reply{other.fd(), POLLIN, 0};
+  const bool answered = ::poll(&reply, 1, 1000) == 1;
+  ::close(flood);
+
+  EXPECT_LT(pushed, kOffered * 3 / 4)
+      << "the server kept reading a client that never reads";
+  ASSERT_TRUE(answered) << "a second connection waited over 1 s for an act";
+  EXPECT_EQ(serve::type_of(other.read_frame()), serve::MsgType::kActOk);
 }
 
 TEST(ServeServer, HotSwapChangesServedVersionWithZeroFailures) {

@@ -133,7 +133,7 @@ every command also accepts:
   --health-fail-fast
                   abort with a nonzero exit when the watchdog sees any
                   non-finite value (env: GENET_HEALTH_FAIL_FAST=1).
-  --metrics-out F dump the final metrics table (counters, timers, histogram
+  --metrics-out F dump the final metrics table (counters, gauges, histogram
                   p50/p90/p99/max) to F; '-' writes to stdout.
   --metrics-port P
                   serve a live Prometheus text-exposition scrape of the

@@ -5,11 +5,12 @@
 //
 // Loads a policy from a serve checkpoint (written by `genet export` or the
 // training loop), answers action requests over a length-prefixed binary
-// protocol (serve/frame.hpp), coalesces concurrent requests into batched
-// forward passes, and hot-swaps the policy whenever a newer checkpoint
-// appears in --watch-dir -- a bad checkpoint is logged and skipped, the old
-// policy keeps serving. SIGINT/SIGTERM drain and exit 0.
+// protocol (serve/frame.hpp), fuses the requests each event loop reads at
+// once into one batched forward pass, and hot-swaps the policy whenever a
+// newer checkpoint appears in --watch-dir -- a bad checkpoint is logged and
+// skipped, the old policy keeps serving. SIGINT/SIGTERM stop it with exit 0.
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -43,10 +44,8 @@ listening (default: ephemeral TCP port, printed at startup):
   --port-file FILE    write the actual TCP port to FILE (for harnesses that
                       start the daemon with --port 0)
 
-batching:
-  --shards N          batching worker shards (default 2)
-  --batch-max N       max requests fused into one forward pass (default 64)
-  --batch-window-us N how long a shard waits for stragglers (default 200)
+serving:
+  --shards N          event-loop threads (default 2)
   --poll-ms N         watch-directory poll interval (default 500)
 
 observability:
@@ -109,9 +108,6 @@ int main(int argc, char** argv) {
     sopt.unix_path = get(options, "unix", "");
     sopt.tcp_port = get_int(options, "port", 0, 0, 65535);
     sopt.shards = get_int(options, "shards", 2, 1, 256);
-    sopt.batch_max = get_int(options, "batch-max", 64, 1, 65536);
-    sopt.batch_window_us = get_int(options, "batch-window-us", 200, 0,
-                                   10'000'000);
     sopt.watch_dir = get(options, "watch-dir", "");
     sopt.watch_poll_ms = get_int(options, "poll-ms", 500, 1, 3'600'000);
     sopt.metrics_interval_s =
