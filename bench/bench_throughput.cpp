@@ -21,6 +21,8 @@
 // strict batched outputs must be bit-identical to the per-sample loop, and
 // fast-mode outputs are reported with their worst relative deviation.
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -30,6 +32,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp_common.hpp"
@@ -351,6 +354,35 @@ GapEvalRow bench_gap_eval(const genet::TaskAdapter& adapter,
 // JSON report
 // ---------------------------------------------------------------------------
 
+/// The CPUs this process may run on, as `nproc` counts them.
+int nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? static_cast<int>(hc) : 1;
+}
+
+/// The first "model name" of /proc/cpuinfo as a JSON string body ("unknown"
+/// when there is none).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) break;
+    std::string escaped;
+    for (char c : line.substr(colon + 2)) {
+      if (c == '"' || c == '\\') escaped += '\\';
+      escaped += c;
+    }
+    return escaped;
+  }
+  return "unknown";
+}
+
 void write_json(const std::string& path, bool quick,
                 const std::vector<InferenceRow>& gemm,
                 const std::vector<InferenceRow>& inference,
@@ -396,6 +428,8 @@ void write_json(const std::string& path, bool quick,
   out << "  \"schema_version\": 1,\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   out << "  \"threads_available\": " << netgym::num_threads() << ",\n";
+  out << "  \"nproc\": " << nproc() << ",\n";
+  out << "  \"cpu_model\": \"" << cpu_model() << "\",\n";
   out << "  \"cpu_avx2_fma\": " << (nn::cpu_has_avx2_fma() ? "true" : "false")
       << ",\n";
   out << "  \"gemm\": [\n";

@@ -3,13 +3,15 @@
 
 Dispatches on the top-level "bench" field:
 
-  throughput  (bench/bench_throughput) — the header fields, the five
-      measurement sections (gemm, inference, rollout, training, gap_eval)
-      with per-row field types, the strict-mode bit-identity flags, and the
-      summary block. `--min-speedup X` additionally requires
-      summary.batched_speedup_at_32 >= X — CI runs with `--min-speedup 1.0`
-      (batched must never be slower than the per-sample loop); the committed
-      full-run report is held to the 2.0 target recorded in the summary.
+  throughput  (bench/bench_throughput) — the header fields, including the
+      host (nproc, cpu_model) so that rows from different machines are not
+      compared unawares, the five measurement sections (gemm, inference,
+      rollout, training, gap_eval) with per-row field types, the
+      strict-mode bit-identity flags, and the summary block.
+      `--min-speedup X` additionally requires summary.batched_speedup_at_32
+      >= X — CI runs with `--min-speedup 1.0` (batched must never be slower
+      than the per-sample loop); the committed full-run report is held to
+      the 2.0 target recorded in the summary.
 
   serve  (bench/bench_serve_load) — the load-run header, the exact-percentile
       latency block, and the hot-swap record. failed_requests must be 0 and
@@ -225,6 +227,8 @@ def check_throughput(path, doc, opts):
         "schema_version": "int",
         "quick": "bool",
         "threads_available": "int",
+        "nproc": "int",
+        "cpu_model": "str",
         "cpu_avx2_fma": "bool",
     }
     err = check_fields(path, doc, header)

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace abr {
 
@@ -20,11 +22,13 @@ double chunk_length_from_obs(const netgym::Observation& obs) {
   return obs[AbrEnv::kObsChunkLength] * 10.0;
 }
 
-/// Shared MPC planning core: enumerate bitrate sequences over `horizon`
-/// chunks under a fixed throughput prediction and return the best first
-/// action (used by RobustMPC and Oboe).
+}  // namespace
+
 int mpc_best_first_action(const netgym::Observation& obs,
                           double predicted_throughput_mbps, int horizon) {
+  if (horizon <= 0) {
+    throw std::invalid_argument("mpc_best_first_action: horizon must be > 0");
+  }
   const double throughput = std::max(predicted_throughput_mbps, 1e-3);
   const double chunk_len = std::max(chunk_length_from_obs(obs), 0.1);
   const double capacity = std::max(max_buffer_from_obs(obs), 1.0);
@@ -32,38 +36,89 @@ int mpc_best_first_action(const netgym::Observation& obs,
   const double start_buffer = buffer_from_obs(obs);
   const int last_bitrate = static_cast<int>(
       std::lround(obs[AbrEnv::kObsLastBitrate] * (kBitrateCount - 1)));
+  if (last_bitrate < 0 || last_bitrate >= kBitrateCount) {
+    throw std::out_of_range(
+        "mpc_best_first_action: last bitrate off the ladder");
+  }
 
+  // Per-call constants: the ladder in Mbps and each bitrate's download time
+  // for the next chunk (observed sizes) and for every later chunk (nominal
+  // sizes). Keep these expressions as they are: the rewards must match the
+  // exhaustive enumeration in tests/abr/baselines_test.cpp bit for bit.
+  double mbps[kBitrateCount];
+  double download_first[kBitrateCount];
+  double download_rest[kBitrateCount];
+  for (int b = 0; b < kBitrateCount; ++b) {
+    mbps[b] = bitrate_mbps(b);
+    download_first[b] =
+        obs[AbrEnv::kObsNextSizes + b] * 8.0 / throughput + rtt_s;
+    const double size_mb = bitrate_kbps(b) * 1000.0 * chunk_len / 8e6;
+    download_rest[b] = size_mb * 8.0 / throughput + rtt_s;
+  }
+
+  // bound[d] >= the reward of step d on every path. buffer_max is an upper
+  // bound of the buffer any path can hold at step d; its first value is the
+  // start buffer. Each step's reward and buffer are built from +, -, *,
+  // max and min, each monotone in every argument under round-to-nearest
+  // (the build forbids FMA contraction, which would round differently), and
+  // the change penalty is >= 0, so the step reward of a real path never
+  // exceeds bound[d] and every float partial sum of a path, taken in path
+  // order, never exceeds the same-order sum of its bounds. A NaN step
+  // reward or download time sticks in the bound, and a NaN bound prunes
+  // nothing.
+  std::vector<double> bound(static_cast<std::size_t>(horizon));
+  double buffer_max = start_buffer;
+  for (int d = 0; d < horizon; ++d) {
+    const double* download = d == 0 ? download_first : download_rest;
+    double best_step = -std::numeric_limits<double>::infinity();
+    double min_download = std::numeric_limits<double>::infinity();
+    for (int b = 0; b < kBitrateCount; ++b) {
+      const double rebuffer = std::max(download[b] - buffer_max, 0.0);
+      const double r = mbps[b] - 10.0 * rebuffer;
+      if (std::isnan(r) || r > best_step) best_step = r;
+      if (std::isnan(download[b]) || download[b] < min_download) {
+        min_download = download[b];
+      }
+    }
+    bound[static_cast<std::size_t>(d)] = best_step;
+    buffer_max = std::min(
+        std::max(buffer_max - min_download, 0.0) + chunk_len, capacity);
+  }
+
+  // Depth-first search in lexicographic order with the strict > of the
+  // exhaustive enumeration, so ties keep going to the first sequence. A
+  // prefix is cut when even its bound cannot beat the best sequence so far:
+  // no leaf below it could pass the strict >, so the cut changes nothing.
   double best_reward = -1e18;
   int best_first = 0;
-  std::vector<int> seq(static_cast<std::size_t>(horizon), 0);
-  auto simulate = [&](auto&& self, int depth, double buffer, int last,
-                      double reward) -> void {
+  auto search = [&](auto&& self, int depth, int first, double buffer,
+                    int last, double reward) -> void {
     if (depth == horizon) {
       if (reward > best_reward) {
         best_reward = reward;
-        best_first = seq[0];
+        best_first = first;
       }
       return;
     }
+    double reachable = reward;
+    for (int d = depth; d < horizon; ++d) {
+      reachable += bound[static_cast<std::size_t>(d)];
+    }
+    if (reachable <= best_reward) return;
+    const double* download = depth == 0 ? download_first : download_rest;
     for (int b = 0; b < kBitrateCount; ++b) {
-      seq[static_cast<std::size_t>(depth)] = b;
-      const double size_mb =
-          depth == 0 ? obs[AbrEnv::kObsNextSizes + b]
-                     : bitrate_kbps(b) * 1000.0 * chunk_len / 8e6;
-      const double download_s = size_mb * 8.0 / throughput + rtt_s;
-      const double rebuffer = std::max(download_s - buffer, 0.0);
-      double new_buffer = std::max(buffer - download_s, 0.0) + chunk_len;
+      const double rebuffer = std::max(download[b] - buffer, 0.0);
+      double new_buffer = std::max(buffer - download[b], 0.0) + chunk_len;
       new_buffer = std::min(new_buffer, capacity);
-      const double change = std::abs(bitrate_mbps(b) - bitrate_mbps(last));
-      const double r = bitrate_mbps(b) - 10.0 * rebuffer - change;
-      self(self, depth + 1, new_buffer, b, reward + r);
+      const double change = std::abs(mbps[b] - mbps[last]);
+      const double r = mbps[b] - 10.0 * rebuffer - change;
+      self(self, depth + 1, depth == 0 ? b : first, new_buffer, b,
+           reward + r);
     }
   };
-  simulate(simulate, 0, start_buffer, last_bitrate, 0.0);
+  search(search, 0, 0, start_buffer, last_bitrate, 0.0);
   return best_first;
 }
-
-}  // namespace
 
 int BbaPolicy::act(const netgym::Observation& obs, netgym::Rng&) {
   const double buffer = buffer_from_obs(obs);
@@ -112,8 +167,8 @@ double RobustMpcPolicy::predict_throughput_mbps(
   }
   const double harmonic = count > 0 ? count / inv_sum : 1.0;
   // Track the relative error of the previous prediction against the newest
-  // actual sample, keeping the max over the episode so far (RobustMPC keeps
-  // a window; an episode-max is the conservative variant).
+  // actual sample. The kept error is a running max that decays by 0.9 per
+  // step, a smooth stand-in for RobustMPC's max over a recent window.
   const double latest =
       std::pow(10.0,
                obs[AbrEnv::kObsThroughputHist + AbrEnv::kThroughputHistory - 1]) -
@@ -121,7 +176,7 @@ double RobustMpcPolicy::predict_throughput_mbps(
   if (last_prediction_mbps_ > 1e-6 && latest > 1e-6) {
     const double err =
         std::abs(last_prediction_mbps_ - latest) / latest;
-    max_error_ = std::max(max_error_ * 0.9, err);  // slowly forget
+    max_error_ = std::max(max_error_ * 0.9, err);
   }
   const double robust = harmonic / (1.0 + max_error_);
   last_prediction_mbps_ = robust;

@@ -19,11 +19,22 @@ class BbaPolicy : public netgym::Policy {
   }
 };
 
+/// The MPC planning core shared by RobustMPC and Oboe: under a constant
+/// throughput prediction, the first bitrate of the `horizon`-chunk bitrate
+/// sequence with the best predicted Table-1 reward. The first chunk uses the
+/// observed next-chunk sizes, later chunks the nominal ladder sizes. Ties go
+/// to the lexicographically first sequence. The result equals exhaustive
+/// enumeration of all 6^horizon sequences bit for bit; an exact
+/// branch-and-bound search reaches it visiting far fewer (DESIGN.md, "MPC
+/// planner"). Throws std::invalid_argument when `horizon` <= 0 and
+/// std::out_of_range when the observed last bitrate is off the ladder.
+int mpc_best_first_action(const netgym::Observation& obs,
+                          double predicted_throughput_mbps, int horizon);
+
 /// RobustMPC [57]: model-predictive control over a short lookahead horizon.
 /// Throughput is predicted as the harmonic mean of recent measurements,
-/// discounted by the maximum recent prediction error (the "robust" part);
-/// the policy enumerates bitrate sequences over the horizon and picks the
-/// first step of the sequence with the best predicted Table-1 reward.
+/// discounted by a decaying max of recent prediction errors (the "robust"
+/// part); mpc_best_first_action then plans the bitrate over the horizon.
 class RobustMpcPolicy : public netgym::Policy {
  public:
   explicit RobustMpcPolicy(int horizon = 5);
