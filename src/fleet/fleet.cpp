@@ -29,10 +29,6 @@ namespace {
 /// GEMM's advantage over scalar forwards.
 constexpr int kGroupSize = 16;
 
-/// Effective step bound when a scenario leaves max_steps at 0; matches the
-/// netgym::run_episode safety net.
-constexpr int kUnboundedSteps = 100000;
-
 /// Device profile with dimension names resolved to indices up front, so the
 /// per-session hot path does no string lookups.
 struct ResolvedDevice {
@@ -46,7 +42,7 @@ struct ResolvedScenario {
   std::vector<double> device_weights;
   std::vector<netgym::Trace> corpus;  ///< empty when no recorded traces
   std::vector<std::size_t> slo_metric;  ///< SLO index -> metric index
-  int max_steps = kUnboundedSteps;
+  int max_steps = netgym::kMaxEpisodeSteps;
 };
 
 /// Draw one session's environment. Every stochastic choice (device class,
@@ -103,7 +99,7 @@ ResolvedScenario resolve_and_validate(const rl::MlpPolicy& policy,
          std::to_string(policy.action_count()) + " does not match task '" +
          sc.task + "'");
   }
-  rs.max_steps = sc.max_steps > 0 ? sc.max_steps : kUnboundedSteps;
+  rs.max_steps = sc.max_steps > 0 ? sc.max_steps : netgym::kMaxEpisodeSteps;
   if (sc.use_traces && sc.trace_prob > 0.0) {
     if (traces::info(sc.trace_set).task != sc.task) {
       fail("trace set " + traces::info(sc.trace_set).name +

@@ -61,7 +61,7 @@ struct Scenario {
   std::string task;  ///< genet::make_adapter task name: "abr", "cc", or "lb"
   int space_id = 1;  ///< RL1/RL2/RL3 ConfigSpace of the task (Tables 3-5)
   std::int64_t sessions = 0;
-  int max_steps = 0;  ///< per-session step cap; 0 = effectively unbounded
+  int max_steps = 0;  ///< per-session step cap; 0 = netgym::kMaxEpisodeSteps
   bool use_traces = false;  ///< replay recorded traces for some sessions
   traces::TraceSet trace_set = traces::TraceSet::kFcc;
   double trace_prob = 0.0;  ///< per-session probability of a recorded trace

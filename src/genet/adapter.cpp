@@ -52,17 +52,22 @@ const netgym::Trace& matching_trace(const std::vector<netgym::Trace>& corpus,
 
 namespace {
 
-/// Shared engine of the evaluation helpers: serially pre-fork one RNG stream
-/// per work item, evaluate every item — in parallel when `parallel_ok` —
-/// and return per-item values in index order. Because each item consumes
-/// only its own stream, the serial and parallel paths produce bit-identical
-/// results.
-std::vector<double> forked_map(
-    int n, netgym::Rng& rng, bool parallel_ok,
-    const std::function<double(std::size_t, netgym::Rng&)>& item) {
+/// One RNG stream per work item, forked serially from `rng` in index order.
+std::vector<netgym::Rng> fork_streams(int n, netgym::Rng& rng) {
   std::vector<netgym::Rng> streams;
   streams.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) streams.push_back(rng.fork());
+  return streams;
+}
+
+/// Per-item engine of the evaluation helpers: pre-fork the item streams,
+/// evaluate every item — in parallel when `parallel_ok` — and return
+/// per-item values in index order. Because each item consumes only its own
+/// stream, the serial and parallel paths produce bit-identical results.
+std::vector<double> forked_map(
+    int n, netgym::Rng& rng, bool parallel_ok,
+    const std::function<double(std::size_t, netgym::Rng&)>& item) {
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
   std::vector<double> values(static_cast<std::size_t>(n));
   const auto traced_item = [&](std::size_t i) {
     netgym::tracing::TraceSpan span("eval", "genet",
@@ -95,41 +100,55 @@ bool cloneable(const netgym::Policy& policy) {
   return policy.clone() != nullptr;
 }
 
-/// Step cap of `netgym::run_episode`'s default, which the serial eval path
-/// relies on; the lockstep path must bound episodes identically.
-constexpr int kEvalMaxSteps = 100000;
-
-/// One evaluation item prepared for lockstep batching: the environment the
-/// RL policy rolls through, plus an optional `finish` hook that consumes the
-/// RL episode's mean reward — running any baseline/oracle episode on the
-/// item's stream — and returns the item's value. Everything `finish` needs
-/// (reference env, baseline policy) is captured inside it; a null `finish`
-/// means the item's value is the RL mean reward itself.
+/// One evaluation item, the only definition each helper gives of its
+/// per-item work: the environment the evaluated policy rolls through, plus
+/// an optional `finish` hook that consumes that episode's mean reward --
+/// running any baseline/oracle episode on the item's stream -- and returns
+/// the item's value. Everything `finish` needs (reference env, baseline
+/// policy) is captured inside it; a null `finish` means the item's value is
+/// the policy's mean reward itself.
 struct EvalPlan {
   std::unique_ptr<netgym::Env> rl_env;
   std::function<double(double rl_mean_reward, netgym::Rng& item_rng)> finish;
 };
 
-/// Lockstep-batched variant of `forked_map` for MLP policies: items are
-/// grouped into jobs (one policy copy and one "eval" span per job), each
-/// job's RL episodes advance together through batched forward passes, and
-/// each item's `finish` hook then runs in item order on the item's own
-/// stream. Stream discipline matches the serial path draw for draw — per
-/// item: plan-time setup draws, then RL episode draws, then finish draws —
-/// so in strict math mode the values are bit-identical to `forked_map`'s at
-/// any group size or thread count. Policies that are not `rl::MlpPolicy`
-/// fall back to `forked_map(serial_item)` unchanged.
+double finish_plan(const EvalPlan& plan, double rl_mean_reward,
+                   netgym::Rng& item_rng) {
+  return plan.finish ? plan.finish(rl_mean_reward, item_rng) : rl_mean_reward;
+}
+
+/// Evaluate one planned item on its own: the policy's episode, then
+/// `finish`, both on the item's stream.
+double run_plan(const EvalPlan& plan, netgym::Policy& policy,
+                netgym::Rng& item_rng) {
+  return finish_plan(
+      plan, netgym::run_episode(*plan.rl_env, policy, item_rng).mean_reward,
+      item_rng);
+}
+
+/// Evaluation engine of the helpers below. Every item draws, on its own
+/// stream pre-forked serially from `rng`, first its plan-time setup, then
+/// the policy's episode, then `finish`. Non-MLP policies run each item as
+/// `run_plan` on a per-item clone through `forked_map`. MLP policies group
+/// items into jobs (one policy copy and one "eval" span per job) whose
+/// episodes advance together through batched forward passes, after which
+/// each item's `finish` runs in item order; in strict math mode each row of
+/// a batched forward is bit-identical to a scalar one, so the values match
+/// `run_plan`'s at any group size or thread count.
 std::vector<double> batched_map(
     int n, netgym::Rng& rng, netgym::Policy& policy,
-    const std::function<EvalPlan(std::size_t, netgym::Rng&)>& plan,
-    const std::function<double(std::size_t, netgym::Rng&)>& serial_item) {
+    const std::function<EvalPlan(std::size_t, netgym::Rng&)>& plan) {
   auto* mlp = dynamic_cast<rl::MlpPolicy*>(&policy);
   if (mlp == nullptr) {
-    return forked_map(n, rng, cloneable(policy), serial_item);
+    return forked_map(n, rng, cloneable(policy),
+                      [&](std::size_t i, netgym::Rng& item_rng) {
+                        const std::unique_ptr<netgym::Policy> local =
+                            policy.clone();
+                        return run_plan(plan(i, item_rng),
+                                        local_policy(local, policy), item_rng);
+                      });
   }
-  std::vector<netgym::Rng> streams;
-  streams.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) streams.push_back(rng.fork());
+  std::vector<netgym::Rng> streams = fork_streams(n, rng);
   const std::size_t count = static_cast<std::size_t>(n);
   std::vector<double> values(count);
   const std::size_t group = rl::lockstep_group_size(count);
@@ -151,16 +170,43 @@ std::vector<double> batched_map(
       envs.push_back(plans.back().rl_env.get());
       rngs.push_back(&streams[i]);
     }
-    const std::vector<netgym::EpisodeStats> stats =
-        rl::run_episodes_lockstep(local, envs, rngs, kEvalMaxSteps);
+    const std::vector<netgym::EpisodeStats> stats = rl::run_episodes_lockstep(
+        local, envs, rngs, netgym::kMaxEpisodeSteps);
     for (std::size_t j = 0; j < plans.size(); ++j) {
-      const std::size_t i = begin + j;
-      values[i] = plans[j].finish
-                      ? plans[j].finish(stats[j].mean_reward, streams[i])
-                      : stats[j].mean_reward;
+      values[begin + j] =
+          finish_plan(plans[j], stats[j].mean_reward, streams[begin + j]);
     }
   });
   return values;
+}
+
+/// Plan of one gap item, kind "baseline" (reward(baseline) - reward(policy))
+/// or "optimum" (optimal - reward(policy)). The policy and the reference
+/// each get a fresh copy of the same environment, built from one env stream
+/// forked off the item's stream; `finish` runs the reference on the item's
+/// stream after the policy's episode.
+EvalPlan gap_plan(const TaskAdapter& task, const std::string& kind,
+                  const std::string& baseline, const netgym::Config& config,
+                  netgym::Rng& item_rng) {
+  if (kind != "baseline" && kind != "optimum") {
+    throw std::invalid_argument("eval_gap_item: unknown kind '" + kind + "'");
+  }
+  netgym::Rng env_rng = item_rng.fork();
+  netgym::Rng env_rng2 = env_rng;
+  EvalPlan p;
+  p.rl_env = task.make_env(config, env_rng);
+  std::shared_ptr<netgym::Env> env_ref = task.make_env(config, env_rng2);
+  if (kind == "optimum") {
+    p.finish = [&task, env_ref](double r_rl, netgym::Rng& rng) {
+      return task.optimal_mean_reward(*env_ref, rng) - r_rl;
+    };
+    return p;
+  }
+  std::shared_ptr<netgym::Policy> rule = task.make_baseline(baseline, *env_ref);
+  p.finish = [env_ref, rule](double r_rl, netgym::Rng& rng) {
+    return netgym::run_episode(*env_ref, *rule, rng).mean_reward - r_rl;
+  };
+  return p;
 }
 
 GapEvalHook g_gap_eval_hook;
@@ -172,7 +218,7 @@ GapEvalHook g_gap_eval_hook;
 /// hook's values depend only on the stream states and the request content:
 /// worker count, assignment order, and worker death cannot change them.
 std::optional<std::vector<double>> dist_gap_eval(
-    const TaskAdapter& task, netgym::Policy& policy, const char* kind,
+    const TaskAdapter& task, netgym::Policy& policy, const std::string& kind,
     const std::string& baseline, const netgym::Config& config, int n,
     netgym::Rng& rng) {
   if (!g_gap_eval_hook) return std::nullopt;
@@ -186,8 +232,9 @@ std::optional<std::vector<double>> dist_gap_eval(
   req.config = config.values;
   req.policy_params = mlp->snapshot();
   req.greedy = mlp->greedy();
-  req.stream_states.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) req.stream_states.push_back(rng.fork().state());
+  for (const netgym::Rng& stream : fork_streams(n, rng)) {
+    req.stream_states.push_back(stream.state());
+  }
   std::vector<double> values = g_gap_eval_hook(req);
   if (values.size() != static_cast<std::size_t>(n)) {
     throw std::runtime_error("gap eval hook returned " +
@@ -195,6 +242,22 @@ std::optional<std::vector<double>> dist_gap_eval(
                              std::to_string(n) + " items");
   }
   return values;
+}
+
+/// Shared body of gap_to_baseline / gap_to_optimum: the distributed hook
+/// when it applies, else every item's gap_plan in process.
+double mean_gap(const TaskAdapter& task, netgym::Policy& rl_policy,
+                const std::string& kind, const std::string& baseline,
+                const netgym::Config& config, int n, netgym::Rng& rng) {
+  if (const auto distributed =
+          dist_gap_eval(task, rl_policy, kind, baseline, config, n, rng)) {
+    return mean_of(*distributed);
+  }
+  return mean_of(batched_map(n, rng, rl_policy,
+                             [&](std::size_t, netgym::Rng& item_rng) {
+                               return gap_plan(task, kind, baseline, config,
+                                               item_rng);
+                             }));
 }
 
 }  // namespace
@@ -210,31 +273,8 @@ bool gap_eval_hook_installed() {
 double eval_gap_item(const TaskAdapter& task, netgym::Policy& policy,
                      const std::string& kind, const std::string& baseline,
                      const netgym::Config& config, netgym::Rng& item_rng) {
-  // Both policies see the same environment instance (fresh copy each); the
-  // draw order -- env fork, RL episode, then reference episode, all on the
-  // item's stream -- must stay identical to the lockstep plan/finish split
-  // in gap_to_baseline/gap_to_optimum above.
-  netgym::Rng env_rng = item_rng.fork();
-  netgym::Rng env_rng2 = env_rng;
-  if (kind == "baseline") {
-    auto env_rl = task.make_env(config, env_rng);
-    auto env_rule = task.make_env(config, env_rng2);
-    auto rule = task.make_baseline(baseline, *env_rule);
-    const double r_rl =
-        netgym::run_episode(*env_rl, policy, item_rng).mean_reward;
-    const double r_rule =
-        netgym::run_episode(*env_rule, *rule, item_rng).mean_reward;
-    return r_rule - r_rl;
-  }
-  if (kind == "optimum") {
-    auto env_rl = task.make_env(config, env_rng);
-    auto env_opt = task.make_env(config, env_rng2);
-    const double r_rl =
-        netgym::run_episode(*env_rl, policy, item_rng).mean_reward;
-    const double r_opt = task.optimal_mean_reward(*env_opt, item_rng);
-    return r_opt - r_rl;
-  }
-  throw std::invalid_argument("eval_gap_item: unknown kind '" + kind + "'");
+  return run_plan(gap_plan(task, kind, baseline, config, item_rng), policy,
+                  item_rng);
 }
 
 std::unique_ptr<TaskAdapter> make_adapter(const std::string& task,
@@ -308,17 +348,8 @@ double test_on_config(const TaskAdapter& task, netgym::Policy& policy,
                       const netgym::Config& config, int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("test_on_config: n must be > 0");
   return mean_of(batched_map(
-      n, rng, policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env(config, item_rng);
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env(config, item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
+      n, rng, policy, [&](std::size_t, netgym::Rng& item_rng) {
+        return EvalPlan{task.make_env(config, item_rng), nullptr};
       }));
 }
 
@@ -329,17 +360,9 @@ double test_on_distribution(const TaskAdapter& task, netgym::Policy& policy,
     throw std::invalid_argument("test_on_distribution: n must be > 0");
   }
   return mean_of(batched_map(
-      n, rng, policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env(dist.sample(item_rng), item_rng);
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env(dist.sample(item_rng), item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
+      n, rng, policy, [&](std::size_t, netgym::Rng& item_rng) {
+        return EvalPlan{task.make_env(dist.sample(item_rng), item_rng),
+                        nullptr};
       }));
 }
 
@@ -350,15 +373,8 @@ std::vector<double> test_per_trace(const TaskAdapter& task,
   return batched_map(
       static_cast<int>(corpus.size()), rng, policy,
       [&](std::size_t i, netgym::Rng& item_rng) {
-        EvalPlan p;
-        p.rl_env = task.make_env_from_trace(corpus[i], item_rng);
-        return p;
-      },
-      [&](std::size_t i, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = policy.clone();
-        auto env = task.make_env_from_trace(corpus[i], item_rng);
-        return netgym::run_episode(*env, local_policy(local, policy), item_rng)
-            .mean_reward;
+        return EvalPlan{task.make_env_from_trace(corpus[i], item_rng),
+                        nullptr};
       });
 }
 
@@ -367,71 +383,23 @@ double gap_to_baseline(const TaskAdapter& task, netgym::Policy& rl_policy,
                        const netgym::Config& config, int n,
                        netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_to_baseline: n must be > 0");
-  if (const auto distributed = dist_gap_eval(task, rl_policy, "baseline",
-                                             baseline_name, config, n, rng)) {
-    return mean_of(*distributed);
-  }
-  return mean_of(batched_map(
-      n, rng, rl_policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        // Both policies see the same environment instance (fresh copy each).
-        netgym::Rng env_rng = item_rng.fork();
-        netgym::Rng env_rng2 = env_rng;
-        EvalPlan p;
-        p.rl_env = task.make_env(config, env_rng);
-        std::shared_ptr<netgym::Env> env_rule =
-            task.make_env(config, env_rng2);
-        std::shared_ptr<netgym::Policy> baseline =
-            task.make_baseline(baseline_name, *env_rule);
-        p.finish = [env_rule, baseline](double r_rl, netgym::Rng& rng2) {
-          const double r_rule =
-              netgym::run_episode(*env_rule, *baseline, rng2).mean_reward;
-          return r_rule - r_rl;
-        };
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = rl_policy.clone();
-        return eval_gap_item(task, local_policy(local, rl_policy), "baseline",
-                             baseline_name, config, item_rng);
-      }));
+  return mean_gap(task, rl_policy, "baseline", baseline_name, config, n, rng);
 }
 
 double gap_to_optimum(const TaskAdapter& task, netgym::Policy& rl_policy,
                       const netgym::Config& config, int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_to_optimum: n must be > 0");
-  if (const auto distributed =
-          dist_gap_eval(task, rl_policy, "optimum", "", config, n, rng)) {
-    return mean_of(*distributed);
-  }
-  return mean_of(batched_map(
-      n, rng, rl_policy,
-      [&](std::size_t, netgym::Rng& item_rng) {
-        netgym::Rng env_rng = item_rng.fork();
-        netgym::Rng env_rng2 = env_rng;
-        EvalPlan p;
-        p.rl_env = task.make_env(config, env_rng);
-        std::shared_ptr<netgym::Env> env_opt = task.make_env(config, env_rng2);
-        p.finish = [&task, env_opt](double r_rl, netgym::Rng& rng2) {
-          return task.optimal_mean_reward(*env_opt, rng2) - r_rl;
-        };
-        return p;
-      },
-      [&](std::size_t, netgym::Rng& item_rng) {
-        const std::unique_ptr<netgym::Policy> local = rl_policy.clone();
-        return eval_gap_item(task, local_policy(local, rl_policy), "optimum",
-                             "", config, item_rng);
-      }));
+  return mean_gap(task, rl_policy, "optimum", "", config, n, rng);
 }
 
 double gap_between(const TaskAdapter& task, netgym::Policy& policy,
                    netgym::Policy& reference, const netgym::Config& config,
                    int n, netgym::Rng& rng) {
   if (n <= 0) throw std::invalid_argument("gap_between: n must be > 0");
-  // Deliberately not lockstep-batched: both episodes draw from the shared
-  // item stream inside one expression whose operand order the compiler
-  // chose, so splitting them across a plan/finish boundary could silently
-  // reorder draws (and `reference` is often not an MLP anyway).
+  // The reference's episode runs before the policy's, both on the item's
+  // stream (EvalPin.GapBetweenMatchesPinnedBits fixes this order). That is
+  // the reverse of an EvalPlan, whose policy episode comes first, so this
+  // helper maps items itself (and `reference` is often not an MLP anyway).
   const bool parallel_ok = cloneable(policy) && cloneable(reference);
   return mean_of(forked_map(
       n, rng, parallel_ok, [&](std::size_t, netgym::Rng& item_rng) {
@@ -441,13 +409,15 @@ double gap_between(const TaskAdapter& task, netgym::Policy& policy,
         netgym::Rng env_rng2 = env_rng;
         auto env_policy = task.make_env(config, env_rng);
         auto env_reference = task.make_env(config, env_rng2);
-        return netgym::run_episode(*env_reference,
-                                   local_policy(local_ref, reference),
-                                   item_rng)
-                   .mean_reward -
-               netgym::run_episode(*env_policy, local_policy(local, policy),
-                                   item_rng)
-                   .mean_reward;
+        const double r_reference =
+            netgym::run_episode(*env_reference,
+                                local_policy(local_ref, reference), item_rng)
+                .mean_reward;
+        const double r_policy =
+            netgym::run_episode(*env_policy, local_policy(local, policy),
+                                item_rng)
+                .mean_reward;
+        return r_reference - r_policy;
       }));
 }
 

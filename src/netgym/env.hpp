@@ -67,9 +67,12 @@ struct EpisodeStats {
   int steps = 0;
 };
 
-/// Run `policy` on `env` for one full episode (bounded by `max_steps` as a
-/// safety net against non-terminating environments).
+/// Step cap of an episode given no bound of its own: a safety net against
+/// non-terminating environments.
+constexpr int kMaxEpisodeSteps = 100000;
+
+/// Run `policy` on `env` for one full episode, at most `max_steps` steps.
 EpisodeStats run_episode(Env& env, Policy& policy, Rng& rng,
-                         int max_steps = 100000);
+                         int max_steps = kMaxEpisodeSteps);
 
 }  // namespace netgym

@@ -21,11 +21,11 @@ std::size_t lockstep_group_size(std::size_t items);
 /// single batched forward pass per tick.
 ///
 /// `envs[i]` is rolled with `*rngs[i]` supplying its action-sampling draws,
-/// for at most `max_steps` steps, exactly like `netgym::run_episode` /
-/// `collect_batch`'s per-episode loop; episode `i`'s stats land in slot `i`
-/// of the result, and when `transitions` is non-null its slot `i` receives
-/// the episode's transitions (same `done`-forcing at the step cap as
-/// `collect_batch`).
+/// for at most `max_steps` steps, exactly like `netgym::run_episode`;
+/// episode `i`'s stats land in slot `i` of the result, and when
+/// `transitions` is non-null its slot `i` receives the episode's
+/// transitions, with `done` forced on the last transition of an episode
+/// cut at the step cap.
 ///
 /// Determinism: every episode draws only from its own RNG stream and its own
 /// environment, and in strict math mode each row of a batched forward is
