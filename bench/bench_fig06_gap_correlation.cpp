@@ -46,18 +46,15 @@ void run_panel(const std::string& task, const std::string& baseline,
   std::vector<double> gaps(configs), gaps_opt(configs), improvements(configs);
   bench::parallel_sweep(configs, /*seed=*/606, [&](int c, netgym::Rng& crng) {
     const netgym::Config& config = sampled[static_cast<std::size_t>(c)];
-    // Workers need their own policy instance: MlpPolicy::act mutates the
-    // net's forward cache.
-    auto local_policy = genet::make_policy(*adapter, snapshot);
     netgym::Rng g1 = crng.fork();
-    const double gap = genet::gap_to_baseline(*adapter, *local_policy,
+    const double gap = genet::gap_to_baseline(*adapter, *policy,
                                               baseline, config, 10, g1);
     netgym::Rng g2 = crng.fork();
     const double gap_opt =
-        genet::gap_to_optimum(*adapter, *local_policy, config, 5, g2);
+        genet::gap_to_optimum(*adapter, *policy, config, 5, g2);
     netgym::Rng e1(5050);
     const double before =
-        genet::test_on_config(*adapter, *local_policy, config, 10, e1);
+        genet::test_on_config(*adapter, *policy, config, 10, e1);
 
     auto trainer = adapter->make_trainer(1000 + c);
     trainer->restore(snapshot);

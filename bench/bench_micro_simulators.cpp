@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates every
-// experiment is built on -- simulator steps, network forward/backward,
-// optimizer updates, GP fits, BO proposals, trace generation, and the
-// offline-optimal planner.
+// experiment is built on -- simulator steps, optimizer updates, GP fits, BO
+// proposals, trace generation, and the offline-optimal planner (MLP
+// inference and training are timed by bench_throughput).
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "cc/env.hpp"
 #include "lb/env.hpp"
 #include "nn/adam.hpp"
-#include "nn/mlp.hpp"
 #include "netgym/trace.hpp"
 
 namespace {
@@ -55,26 +54,6 @@ void BM_LbEnvEpisode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LbEnvEpisode);
-
-void BM_MlpForward(benchmark::State& state) {
-  netgym::Rng rng(1);
-  nn::Mlp net({53, 32, 32, 9}, nn::Activation::kTanh, rng);
-  std::vector<double> x(53, 0.3);
-  for (auto _ : state) benchmark::DoNotOptimize(net.forward(x));
-}
-BENCHMARK(BM_MlpForward);
-
-void BM_MlpForwardBackward(benchmark::State& state) {
-  netgym::Rng rng(1);
-  nn::Mlp net({53, 32, 32, 9}, nn::Activation::kTanh, rng);
-  std::vector<double> x(53, 0.3);
-  std::vector<double> g(9, 0.1);
-  for (auto _ : state) {
-    net.forward(x);
-    net.backward(g);
-  }
-}
-BENCHMARK(BM_MlpForwardBackward);
 
 void BM_AdamStep(benchmark::State& state) {
   nn::Adam opt(3000);

@@ -187,6 +187,7 @@ std::vector<InferenceRow> bench_inference(bool quick) {
   const std::vector<int> sizes{16, 32, 32, 8};
   netgym::Rng rng(42);
   nn::Mlp net(sizes, nn::Activation::kTanh, rng);
+  nn::Mlp::Workspace ws;
   const int in = sizes.front();
   const int out = sizes.back();
 
@@ -198,6 +199,7 @@ std::vector<InferenceRow> bench_inference(bool quick) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       inputs[i] = std::sin(0.1 * static_cast<double>(i + 1));
     }
+    const std::size_t n = static_cast<std::size_t>(batch);
     InferenceRow row;
     row.batch = batch;
 
@@ -208,21 +210,21 @@ std::vector<InferenceRow> bench_inference(bool quick) {
       std::copy(inputs.begin() + static_cast<std::size_t>(b) * in,
                 inputs.begin() + static_cast<std::size_t>(b + 1) * in,
                 one.begin());
-      const std::vector<double>& y = net.forward(one);
+      const std::vector<double>& y = net.forward_batch(one.data(), 1, ws);
       std::copy(y.begin(), y.end(),
                 reference.begin() + static_cast<std::size_t>(b) * out);
     }
 
     nn::set_math_mode(nn::MathMode::kStrict);
     const std::vector<double>& strict_out =
-        net.forward_batch(inputs.data(), static_cast<std::size_t>(batch));
+        net.forward_batch(inputs.data(), n, ws);
     row.strict_bit_identical =
         std::memcmp(strict_out.data(), reference.data(),
                     reference.size() * sizeof(double)) == 0;
 
     nn::set_math_mode(nn::MathMode::kFast);
     const std::vector<double>& fast_out =
-        net.forward_batch(inputs.data(), static_cast<std::size_t>(batch));
+        net.forward_batch(inputs.data(), n, ws);
     for (std::size_t i = 0; i < reference.size(); ++i) {
       const double denom = std::max(std::abs(reference[i]), 1e-12);
       row.fast_max_rel_err = std::max(
@@ -237,17 +239,15 @@ std::vector<InferenceRow> bench_inference(bool quick) {
             std::copy(inputs.begin() + static_cast<std::size_t>(b) * in,
                       inputs.begin() + static_cast<std::size_t>(b + 1) * in,
                       one.begin());
-            net.forward(one);
+            net.forward_batch(one.data(), 1, ws);
           }
         },
         reps);
-    const double strict_s = time_calls(
-        [&] { net.forward_batch(inputs.data(), static_cast<std::size_t>(batch)); },
-        reps);
+    const double strict_s =
+        time_calls([&] { net.forward_batch(inputs.data(), n, ws); }, reps);
     nn::set_math_mode(nn::MathMode::kFast);
-    const double fast_s = time_calls(
-        [&] { net.forward_batch(inputs.data(), static_cast<std::size_t>(batch)); },
-        reps);
+    const double fast_s =
+        time_calls([&] { net.forward_batch(inputs.data(), n, ws); }, reps);
     nn::set_math_mode(nn::MathMode::kStrict);
 
     const double samples = static_cast<double>(reps) * batch;

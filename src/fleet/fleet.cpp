@@ -173,10 +173,6 @@ ScenarioResult run_scenario(const rl::MlpPolicy& policy, const Scenario& sc,
       static_cast<std::size_t>(n_shards), [&](std::size_t s) {
         ShardStats& st = shard_stats[s];
         netgym::Rng& srng = shard_rngs[s];
-        // Each shard owns an executable copy: Mlp forward scratch is mutable,
-        // so sharing one network across workers would race.
-        rl::MlpPolicy local(policy);
-        local.set_greedy(true);
         const std::int64_t begin = static_cast<std::int64_t>(s) * per_shard;
         const std::int64_t end = std::min(sessions, begin + per_shard);
         std::vector<std::unique_ptr<netgym::Env>> envs;
@@ -201,7 +197,7 @@ ScenarioResult run_scenario(const rl::MlpPolicy& policy, const Scenario& sc,
             env_ptrs.push_back(envs[static_cast<std::size_t>(j)].get());
             rng_ptrs.push_back(&act_rngs[static_cast<std::size_t>(j)]);
           }
-          const auto stats = rl::run_episodes_lockstep(local, env_ptrs,
+          const auto stats = rl::run_episodes_lockstep(policy, env_ptrs,
                                                        rng_ptrs, rs.max_steps);
           for (int j = 0; j < k; ++j) {
             double vals[3];
@@ -360,6 +356,10 @@ FleetResult run_fleet(const rl::MlpPolicy& policy,
   for (const Scenario& sc : scenarios) {
     resolved.push_back(resolve_and_validate(policy, sc));
   }
+  // Fleet evaluation is deployment evaluation: every shard shares this one
+  // greedy copy, whatever the caller's flag.
+  rl::MlpPolicy greedy = policy;
+  greedy.set_greedy(true);
   const bool capture = !opts.out_dir.empty() && opts.worst_k > 0;
   if (capture) std::filesystem::create_directories(opts.out_dir);
 
@@ -380,7 +380,7 @@ FleetResult run_fleet(const rl::MlpPolicy& policy,
       recorder.enable(opts.worst_k);
     }
     ScenarioResult r =
-        run_scenario(policy, scenarios[i], resolved[i], opts, scen_rng);
+        run_scenario(greedy, scenarios[i], resolved[i], opts, scen_rng);
     if (capture) {
       r.flight_path = opts.out_dir + "/worst_" + scenarios[i].name + ".jsonl";
       recorder.write_jsonl(r.flight_path);

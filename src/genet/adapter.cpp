@@ -130,7 +130,7 @@ double run_plan(const EvalPlan& plan, netgym::Policy& policy,
 /// stream pre-forked serially from `rng`, first its plan-time setup, then
 /// the policy's episode, then `finish`. Non-MLP policies run each item as
 /// `run_plan` on a per-item clone through `forked_map`. MLP policies group
-/// items into jobs (one policy copy and one "eval" span per job) whose
+/// items into jobs (one "eval" span per job, all sharing the policy) whose
 /// episodes advance together through batched forward passes, after which
 /// each item's `finish` runs in item order; in strict math mode each row of
 /// a batched forward is bit-identical to a scalar one, so the values match
@@ -138,7 +138,7 @@ double run_plan(const EvalPlan& plan, netgym::Policy& policy,
 std::vector<double> batched_map(
     int n, netgym::Rng& rng, netgym::Policy& policy,
     const std::function<EvalPlan(std::size_t, netgym::Rng&)>& plan) {
-  auto* mlp = dynamic_cast<rl::MlpPolicy*>(&policy);
+  const auto* mlp = dynamic_cast<const rl::MlpPolicy*>(&policy);
   if (mlp == nullptr) {
     return forked_map(n, rng, cloneable(policy),
                       [&](std::size_t i, netgym::Rng& item_rng) {
@@ -158,7 +158,6 @@ std::vector<double> batched_map(
     const std::size_t end = std::min(begin + group, count);
     netgym::tracing::TraceSpan span("eval", "genet",
                                     static_cast<std::int64_t>(begin));
-    rl::MlpPolicy local = *mlp;
     std::vector<EvalPlan> plans;
     std::vector<netgym::Env*> envs;
     std::vector<netgym::Rng*> rngs;
@@ -171,7 +170,7 @@ std::vector<double> batched_map(
       rngs.push_back(&streams[i]);
     }
     const std::vector<netgym::EpisodeStats> stats = rl::run_episodes_lockstep(
-        local, envs, rngs, netgym::kMaxEpisodeSteps);
+        *mlp, envs, rngs, netgym::kMaxEpisodeSteps);
     for (std::size_t j = 0; j < plans.size(); ++j) {
       values[begin + j] =
           finish_plan(plans[j], stats[j].mean_reward, streams[begin + j]);

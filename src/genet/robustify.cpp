@@ -34,10 +34,8 @@ class AdversaryEnv : public netgym::Env {
  public:
   static constexpr int kObsSize = 6;
 
-  // The victim is copied, not referenced: envs are stepped concurrently by
-  // the parallel rollout engine and MlpPolicy::act mutates the net's forward
-  // cache. The victim's parameters are frozen while the adversary trains, so
-  // a per-env copy behaves identically to the shared original.
+  // `victim` must outlive the env. Envs are stepped concurrently by the
+  // parallel rollout engine, so each acts through its own workspace.
   AdversaryEnv(const rl::MlpPolicy& victim, const RobustifyOptions& options,
                std::uint64_t seed)
       : victim_(victim),
@@ -76,7 +74,10 @@ class AdversaryEnv : public netgym::Env {
     segment_bw_.push_back(bw);
 
     // The frozen victim chooses the bitrate for this chunk.
-    const int bitrate = victim_.act(victim_observation(), rng_);
+    const netgym::Observation victim_obs = victim_observation();
+    netgym::Rng* rngs[1] = {&rng_};
+    int bitrate = 0;
+    victim_.act_batch(victim_obs.data(), 1, rngs, &bitrate, victim_ws_);
     const double bits = video_.chunk_size_bits(chunk_, bitrate);
     const double delay = bits / (bw * 1e6) + kRttS;
 
@@ -189,7 +190,8 @@ class AdversaryEnv : public netgym::Env {
     return obs;
   }
 
-  rl::MlpPolicy victim_;
+  const rl::MlpPolicy& victim_;
+  rl::MlpPolicy::Workspace victim_ws_;
   const RobustifyOptions options_;
   abr::Video video_;
   std::uint64_t video_seed_;
@@ -219,6 +221,9 @@ AbrAdversary::AbrAdversary(rl::MlpPolicy& victim, RobustifyOptions options,
   if (options_.bw_levels < 2 || options_.min_bw_mbps <= 0 ||
       options_.max_bw_mbps <= options_.min_bw_mbps) {
     throw std::invalid_argument("AbrAdversary: invalid options");
+  }
+  if (victim_.obs_size() != AbrEnv::kObsSize) {
+    throw std::invalid_argument("AbrAdversary: victim is not an ABR policy");
   }
   rl::TrainerOptions trainer_options;
   trainer_options.hidden = {16, 16};

@@ -52,8 +52,8 @@ class Policy {
   virtual int act(const Observation& obs, Rng& rng) = 0;
 
   /// Deep copy for parallel evaluation: workers hand each episode its own
-  /// clone so `act`'s internal state (an MLP's forward cache, MPC's error
-  /// tracker) is never shared across threads. Returns nullptr when the
+  /// clone so `act`'s internal state (e.g. MPC's error tracker) is never
+  /// shared across threads. Returns nullptr when the
   /// policy cannot be copied (e.g. oracles bound to one environment), in
   /// which case evaluation helpers fall back to a serial loop — with the
   /// same per-item RNG streams, so results do not change.

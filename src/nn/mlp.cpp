@@ -63,66 +63,18 @@ Mlp::Mlp(std::vector<int> sizes, Activation activation, netgym::Rng& rng)
     double* b = params_.data() + bias_offsets_[l];
     for (int i = 0; i < n_out; ++i) b[i] = 0.0;
   }
-  acts_.resize(sizes_.size());
-  zs_.resize(sizes_.size() - 1);
-}
-
-Mlp::Mlp(const Mlp& other)
-    : netgym::checkpoint::Serializable(other),
-      sizes_(other.sizes_),
-      activation_(other.activation_),
-      params_(other.params_),
-      grads_(other.grads_),
-      weight_offsets_(other.weight_offsets_),
-      bias_offsets_(other.bias_offsets_) {
-  // Scratch and the forward cache are deliberately not copied (class comment):
-  // a fresh copy starts with an empty cache and allocates scratch on first
-  // use, sized to its own batches.
-  acts_.resize(sizes_.size());
-  zs_.resize(sizes_.size() - 1);
-}
-
-Mlp& Mlp::operator=(const Mlp& other) {
-  if (this == &other) return *this;
-  sizes_ = other.sizes_;
-  activation_ = other.activation_;
-  params_ = other.params_;
-  grads_ = other.grads_;
-  weight_offsets_ = other.weight_offsets_;
-  bias_offsets_ = other.bias_offsets_;
-  acts_.assign(sizes_.size(), {});
-  zs_.assign(sizes_.size() - 1, {});
-  wt_scratch_.clear();
-  delta_.clear();
-  prev_delta_.clear();
-  cached_rows_ = 0;
-  return *this;
-}
-
-const std::vector<double>& Mlp::forward(const std::vector<double>& input) {
-  if (static_cast<int>(input.size()) != sizes_.front()) {
-    throw std::invalid_argument("Mlp::forward: input size mismatch");
-  }
-  return forward_batch(input.data(), 1);
-}
-
-void Mlp::backward(const std::vector<double>& grad_output) {
-  if (cached_rows_ == 0) {
-    throw std::logic_error("Mlp::backward: no cached forward pass");
-  }
-  if (static_cast<int>(grad_output.size()) != sizes_.back()) {
-    throw std::invalid_argument("Mlp::backward: grad size mismatch");
-  }
-  backward_batch(grad_output.data(), 1);
 }
 
 const std::vector<double>& Mlp::forward_batch(const double* inputs,
-                                              std::size_t n) {
+                                              std::size_t n,
+                                              Workspace& ws) const {
   if (n == 0) {
     throw std::invalid_argument("Mlp::forward_batch: empty batch");
   }
   const std::size_t num_layers = sizes_.size() - 1;
-  std::vector<double>& in = acts_[0];
+  ws.acts.resize(sizes_.size());
+  ws.zs.resize(num_layers);
+  std::vector<double>& in = ws.acts[0];
   in.resize(n * static_cast<std::size_t>(sizes_.front()));
   std::copy(inputs, inputs + in.size(), in.begin());
   for (std::size_t l = 0; l < num_layers; ++l) {
@@ -130,8 +82,8 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
     const int n_out = sizes_[l + 1];
     const double* w = params_.data() + weight_offsets_[l];
     const double* b = params_.data() + bias_offsets_[l];
-    const std::vector<double>& a = acts_[l];
-    std::vector<double>& z = zs_[l];
+    const std::vector<double>& a = ws.acts[l];
+    std::vector<double>& z = ws.zs[l];
     z.resize(n * static_cast<std::size_t>(n_out));
     if (n == 1) {
       // Single-sample fast path: a plain dot product per output avoids the
@@ -150,12 +102,12 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
       for (std::size_t m = 0; m < n; ++m) {
         std::copy(b, b + n_out, z.begin() + m * n_out);
       }
-      wt_scratch_.resize(static_cast<std::size_t>(n_in) * n_out);
-      transpose(n_out, n_in, w, wt_scratch_.data());
-      gemm_nn(static_cast<int>(n), n_out, n_in, a.data(), wt_scratch_.data(),
+      ws.wt.resize(static_cast<std::size_t>(n_in) * n_out);
+      transpose(n_out, n_in, w, ws.wt.data());
+      gemm_nn(static_cast<int>(n), n_out, n_in, a.data(), ws.wt.data(),
               z.data());
     }
-    std::vector<double>& out = acts_[l + 1];
+    std::vector<double>& out = ws.acts[l + 1];
     out.resize(z.size());
     if (l + 1 == num_layers) {
       std::copy(z.begin(), z.end(), out.begin());
@@ -165,40 +117,43 @@ const std::vector<double>& Mlp::forward_batch(const double* inputs,
       }
     }
   }
-  cached_rows_ = n;
-  return acts_.back();
+  ws.cached_rows = n;
+  return ws.acts.back();
 }
 
-void Mlp::backward_batch(const double* grad_outputs, std::size_t n) {
-  if (cached_rows_ == 0) {
+void Mlp::backward_batch(const double* grad_outputs, std::size_t n,
+                         Workspace& ws) {
+  if (ws.cached_rows == 0) {
     throw std::logic_error("Mlp::backward_batch: no cached forward pass");
   }
-  if (n != cached_rows_) {
+  if (n != ws.cached_rows) {
     throw std::invalid_argument(
         "Mlp::backward_batch: batch size does not match cached forward pass");
   }
   const std::size_t num_layers = sizes_.size() - 1;
-  // delta_ and prev_delta_ ping-pong through std::swap below, so size both
+  // delta and prev_delta ping-pong through std::swap below, so size both
   // for the widest layer up front; otherwise their capacities alternate and
   // a later pass can still allocate despite a same-sized warm-up.
   const std::size_t widest = static_cast<std::size_t>(
       *std::max_element(sizes_.begin(), sizes_.end()));
-  delta_.reserve(n * widest);
-  prev_delta_.reserve(n * widest);
-  delta_.resize(n * static_cast<std::size_t>(sizes_.back()));
-  std::copy(grad_outputs, grad_outputs + delta_.size(), delta_.begin());
+  std::vector<double>& delta = ws.delta;
+  std::vector<double>& prev_delta = ws.prev_delta;
+  delta.reserve(n * widest);
+  prev_delta.reserve(n * widest);
+  delta.resize(n * static_cast<std::size_t>(sizes_.back()));
+  std::copy(grad_outputs, grad_outputs + delta.size(), delta.begin());
   for (std::size_t li = num_layers; li-- > 0;) {
     const int n_in = sizes_[li];
     const int n_out = sizes_[li + 1];
     const double* w = params_.data() + weight_offsets_[li];
     double* gw = grads_.data() + weight_offsets_[li];
     double* gb = grads_.data() + bias_offsets_[li];
-    const std::vector<double>& a = acts_[li];
+    const std::vector<double>& a = ws.acts[li];
     // Bias gradients, sample-outer: each gb[i] receives its per-sample
     // addends in ascending row order, matching a loop of per-sample
     // backward calls.
     for (std::size_t m = 0; m < n; ++m) {
-      const double* d = delta_.data() + m * n_out;
+      const double* d = delta.data() + m * n_out;
       for (int i = 0; i < n_out; ++i) gb[i] += d[i];
     }
     // Weight gradients: gw[i][j] += sum_m delta[m][i] * a[m][j]. gemm_tn
@@ -206,19 +161,19 @@ void Mlp::backward_batch(const double* grad_outputs, std::size_t n) {
     // row — which is what keeps batched gradient accumulation bit-identical
     // to the sequential per-sample updates (gw may already hold prior
     // batches' gradients, so ordering relative to that seed matters).
-    gemm_tn(n_out, n_in, static_cast<int>(n), delta_.data(), a.data(), gw);
+    gemm_tn(n_out, n_in, static_cast<int>(n), delta.data(), a.data(), gw);
     if (li == 0) break;
-    prev_delta_.resize(n * static_cast<std::size_t>(n_in));
-    std::fill(prev_delta_.begin(), prev_delta_.end(), 0.0);
+    prev_delta.resize(n * static_cast<std::size_t>(n_in));
+    std::fill(prev_delta.begin(), prev_delta.end(), 0.0);
     // prev_delta[m][j] = sum_i delta[m][i] * w[i][j], ascending i, seeded
     // from 0 — the per-sample code's dot across output units.
-    gemm_nn(static_cast<int>(n), n_in, n_out, delta_.data(), w,
-            prev_delta_.data());
-    const std::vector<double>& a_prev = acts_[li];  // activate(zs_[li-1])
-    for (std::size_t i = 0; i < prev_delta_.size(); ++i) {
-      prev_delta_[i] *= activate_grad_from_act(activation_, a_prev[i]);
+    gemm_nn(static_cast<int>(n), n_in, n_out, delta.data(), w,
+            prev_delta.data());
+    // a = activate(zs[li-1]), the layer below's cached output.
+    for (std::size_t i = 0; i < prev_delta.size(); ++i) {
+      prev_delta[i] *= activate_grad_from_act(activation_, a[i]);
     }
-    std::swap(delta_, prev_delta_);
+    std::swap(delta, prev_delta);
   }
 }
 
@@ -252,7 +207,6 @@ void Mlp::load_state(const netgym::checkpoint::Snapshot& snap,
         "Mlp::load_state: parameter count mismatch (" + prefix + "params)");
   }
   params_ = params;
-  cached_rows_ = 0;
 }
 
 void Mlp::set_params(const std::vector<double>& params) {

@@ -22,58 +22,55 @@ enum class Activation { kTanh, kRelu };
 /// (input width `n_in`, output width `n_out`) is a row-major `n_out x n_in`
 /// weight block followed by `n_out` biases.
 ///
-/// The batched entry points (`forward_batch` / `backward_batch`) run N
-/// samples through the cache-blocked GEMM kernels in nn/gemm.hpp and reuse
-/// member scratch buffers, so steady-state calls perform no heap
-/// allocations. The per-sample `forward` / `backward` are thin N=1 wrappers
-/// over the same machinery. Under the default strict math mode (see
-/// nn::MathMode) a batched pass is bit-identical to looping the per-sample
-/// one, for both outputs and accumulated gradients.
+/// `forward_batch` / `backward_batch` run N samples through the
+/// cache-blocked GEMM kernels in nn/gemm.hpp. Everything a pass needs beyond
+/// the parameters lives in a caller-owned `Workspace`, so `forward_batch` is
+/// const: any number of threads may run one network at once, each with its
+/// own workspace. Under the default strict math mode (see nn::MathMode) a
+/// batched pass is bit-identical to looping N = 1 passes, for both outputs
+/// and accumulated gradients.
 ///
-/// `forward_batch` caches the batch's per-layer activations; `backward_batch`
-/// consumes that cache, so the call pattern is forward -> backward with a
-/// matching batch size. Gradients accumulate across calls until
-/// `zero_grad()`.
-///
-/// Copying an `Mlp` copies topology, parameters, and gradients but not the
-/// transient forward cache or scratch buffers (a copy cannot call `backward`
-/// before its own `forward`); rollout workers clone policies per job, so
-/// keeping multi-megabyte batch scratch out of the copy matters.
+/// `forward_batch` caches the batch's per-layer activations in the
+/// workspace; `backward_batch` consumes that cache, so the call pattern is
+/// forward -> backward on the same network and workspace with a matching
+/// batch size. Gradients accumulate across calls until `zero_grad()`.
 class Mlp : public netgym::checkpoint::Serializable {
  public:
+  /// Scratch of one forward/backward pass. Buffers only grow, so a warm
+  /// workspace makes steady-state passes allocation-free, also when it
+  /// alternates between networks of one shape.
+  struct Workspace {
+    // acts[0] is the n x input batch, acts[l+1] the n x width
+    // post-activation output of layer l; zs[l] the layer's n x width
+    // pre-activation.
+    std::vector<std::vector<double>> acts;
+    std::vector<std::vector<double>> zs;
+    std::vector<double> wt;          // transposed weights of one layer
+    std::vector<double> delta;       // n x width, dL/dz of current layer
+    std::vector<double> prev_delta;  // n x width of the layer below
+    std::size_t cached_rows = 0;     // 0 = no valid forward cache
+  };
+
   /// `sizes` lists the widths of every layer, e.g. {10, 32, 32, 6} is a net
   /// with 10 inputs, two hidden layers of 32, and 6 outputs. Weights are
   /// Xavier-initialized from `rng`.
   Mlp(std::vector<int> sizes, Activation activation, netgym::Rng& rng);
 
-  Mlp(const Mlp& other);
-  Mlp& operator=(const Mlp& other);
-  Mlp(Mlp&&) = default;
-  Mlp& operator=(Mlp&&) = default;
-
   int input_size() const { return sizes_.front(); }
   int output_size() const { return sizes_.back(); }
 
-  /// Run the network on one sample; returns the (linear) output layer
-  /// values. The reference points into member scratch and is valid until the
-  /// next forward/backward call on this network (copy it to keep it).
-  const std::vector<double>& forward(const std::vector<double>& input);
-
-  /// Backpropagate `dL/doutput` through the cached forward pass, accumulating
-  /// parameter gradients. Must follow a `forward` call.
-  void backward(const std::vector<double>& grad_output);
-
   /// Run `n` samples (row-major `n x input_size`) through the network in one
   /// batched pass. Returns the `n x output_size` output matrix, which points
-  /// into member scratch and is valid until the next forward/backward call.
-  const std::vector<double>& forward_batch(const double* inputs,
-                                           std::size_t n);
+  /// into `ws` and is valid until the workspace's next pass.
+  const std::vector<double>& forward_batch(const double* inputs, std::size_t n,
+                                           Workspace& ws) const;
 
   /// Backpropagate a batch of output gradients (row-major
-  /// `n x output_size`) through the cached batched forward pass,
+  /// `n x output_size`) through the forward pass cached in `ws`,
   /// accumulating parameter gradients exactly as if the samples had been
   /// processed one by one in row order. `n` must match the cached batch.
-  void backward_batch(const double* grad_outputs, std::size_t n);
+  void backward_batch(const double* grad_outputs, std::size_t n,
+                      Workspace& ws);
 
   void zero_grad();
 
@@ -89,8 +86,8 @@ class Mlp : public netgym::checkpoint::Serializable {
 
   /// Checkpoint hooks: saves the topology (sizes, activation) alongside the
   /// exact parameter bit patterns; load validates the topology against this
-  /// network before touching `params_` (gradients and the forward cache are
-  /// transient and deliberately not persisted).
+  /// network before touching `params_` (gradients are transient and
+  /// deliberately not persisted).
   void save_state(netgym::checkpoint::Snapshot& snap,
                   const std::string& prefix) const override;
   void load_state(const netgym::checkpoint::Snapshot& snap,
@@ -103,16 +100,6 @@ class Mlp : public netgym::checkpoint::Serializable {
   std::vector<double> grads_;
   std::vector<std::size_t> weight_offsets_;  // per layer
   std::vector<std::size_t> bias_offsets_;    // per layer
-
-  // Batched forward-pass cache, reused across calls (buffers only grow):
-  // acts_[0] is the n x input batch, acts_[l+1] the n x width post-activation
-  // output of layer l; zs_[l] the layer's n x width pre-activation.
-  std::vector<std::vector<double>> acts_;
-  std::vector<std::vector<double>> zs_;
-  std::vector<double> wt_scratch_;     // transposed weights of one layer
-  std::vector<double> delta_;          // n x width, dL/dz of current layer
-  std::vector<double> prev_delta_;     // n x width of the layer below
-  std::size_t cached_rows_ = 0;        // 0 = no valid forward cache
 };
 
 /// Numerically stable softmax.

@@ -17,7 +17,7 @@ std::size_t lockstep_group_size(std::size_t items) {
 }
 
 std::vector<netgym::EpisodeStats> run_episodes_lockstep(
-    MlpPolicy& policy, const std::vector<netgym::Env*>& envs,
+    const MlpPolicy& policy, const std::vector<netgym::Env*>& envs,
     const std::vector<netgym::Rng*>& rngs, int max_steps,
     std::vector<std::vector<Transition>>* transitions) {
   if (max_steps <= 0) {
@@ -50,12 +50,12 @@ std::vector<netgym::EpisodeStats> run_episodes_lockstep(
   const bool traced = netgym::tracing::enabled();
   std::vector<std::int64_t> span_start(traced ? n : 0, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    policy.begin_episode();
     if (traced) span_start[i] = netgym::tracing::now_ns();
     obs[i] = envs[i]->reset();
     active.push_back(i);
   }
 
+  MlpPolicy::Workspace ws;
   std::vector<double> obs_rows;
   std::vector<netgym::Rng*> row_rngs;
   std::vector<int> actions;
@@ -70,7 +70,8 @@ std::vector<netgym::EpisodeStats> run_episodes_lockstep(
                 obs_rows.begin() + r * obs_size);
       row_rngs[r] = rngs[i];
     }
-    policy.act_batch(obs_rows.data(), rows, row_rngs.data(), actions.data());
+    policy.act_batch(obs_rows.data(), rows, row_rngs.data(), actions.data(),
+                     ws);
 
     // Step every active env, compacting finished episodes out in place.
     std::size_t keep = 0;

@@ -18,7 +18,8 @@ std::size_t lockstep_group_size(std::size_t items);
 
 /// Step a group of environments through full episodes in lockstep under one
 /// shared policy, evaluating all still-active episodes' observations in a
-/// single batched forward pass per tick.
+/// single batched forward pass per tick. The call owns the workspace of its
+/// passes, so any number of calls may share `policy` concurrently.
 ///
 /// `envs[i]` is rolled with `*rngs[i]` supplying its action-sampling draws,
 /// for at most `max_steps` steps, exactly like `netgym::run_episode`;
@@ -34,7 +35,7 @@ std::size_t lockstep_group_size(std::size_t items);
 /// therefore of thread count. (In fast math mode the batched kernels' FMA
 /// rounding makes results group-size-dependent; see DESIGN.md.)
 std::vector<netgym::EpisodeStats> run_episodes_lockstep(
-    MlpPolicy& policy, const std::vector<netgym::Env*>& envs,
+    const MlpPolicy& policy, const std::vector<netgym::Env*>& envs,
     const std::vector<netgym::Rng*>& rngs, int max_steps,
     std::vector<std::vector<Transition>>* transitions = nullptr);
 

@@ -21,9 +21,18 @@ namespace rl {
 ///
 /// The `_batch` entry points push many observations through one batched
 /// forward pass (see nn::Mlp); in strict math mode their results are
-/// bit-identical to looping the per-observation calls.
+/// bit-identical to looping `act`. They are const and write only the
+/// caller's `Workspace`, so threads share one policy, one workspace each.
+/// `act` runs on a small workspace of the policy's own, at n = 1.
 class MlpPolicy : public netgym::Policy {
  public:
+  /// Scratch of one thread running the policy: the network's pass buffers
+  /// and the sampling probabilities.
+  struct Workspace {
+    nn::Mlp::Workspace net;
+    std::vector<double> probs;
+  };
+
   MlpPolicy(int obs_size, int action_count, const std::vector<int>& hidden,
             netgym::Rng& rng);
 
@@ -34,23 +43,18 @@ class MlpPolicy : public netgym::Policy {
   }
 
   /// Logits for an observation (runs a forward pass).
-  std::vector<double> logits(const netgym::Observation& obs);
+  std::vector<double> logits(const netgym::Observation& obs) const;
 
   /// Action probabilities for an observation.
-  std::vector<double> probs(const netgym::Observation& obs);
+  std::vector<double> probs(const netgym::Observation& obs) const;
 
-  /// Logits for `n` observations packed row-major (`n x obs_size`); returns
-  /// the `n x action_count` logit matrix. The reference points into the
-  /// network's scratch and is valid until its next forward/backward call.
-  const std::vector<double>& logits_batch(const double* obs, std::size_t n);
-
-  /// One action per packed observation row, sampled from that row's softmax
-  /// using the row's own RNG stream (or argmax when greedy). Writes
-  /// `actions[0..n)`. Each row consumes exactly the RNG draws of a scalar
-  /// `act` call on `*rngs[i]`, so lockstepped rollouts stay stream-for-stream
-  /// identical to sequential ones.
+  /// One action per observation row (packed row-major, `n x obs_size`),
+  /// sampled from that row's softmax using the row's own RNG stream (or
+  /// argmax when greedy). Writes `actions[0..n)`. Each row consumes exactly
+  /// the RNG draws of a scalar `act` call on `*rngs[i]`, so lockstepped
+  /// rollouts stay stream-for-stream identical to sequential ones.
   void act_batch(const double* obs, std::size_t n, netgym::Rng* const* rngs,
-                 int* actions);
+                 int* actions, Workspace& ws) const;
 
   bool greedy() const { return greedy_; }
   void set_greedy(bool greedy) { greedy_ = greedy; }
@@ -66,11 +70,15 @@ class MlpPolicy : public netgym::Policy {
   void restore(const std::vector<double>& params) { net_.set_params(params); }
 
  private:
-  int sample_row(const double* logits_row, netgym::Rng& rng);
+  /// Logits of one observation, checked against the input width.
+  const std::vector<double>& forward_one(const netgym::Observation& obs,
+                                         Workspace& ws) const;
+  int sample_row(const double* logits_row, netgym::Rng& rng,
+                 std::vector<double>& probs) const;
 
   nn::Mlp net_;
   bool greedy_ = false;
-  std::vector<double> probs_scratch_;
+  Workspace own_;  ///< `act`'s workspace
 };
 
 }  // namespace rl

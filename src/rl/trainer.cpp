@@ -76,7 +76,7 @@ double entropy_of(const std::vector<double>& probs) {
   return h;
 }
 
-RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,
+RolloutBatch collect_batch(const MlpPolicy& policy, const EnvFactory& factory,
                            netgym::Rng& rng, int episodes,
                            int max_steps_per_episode) {
   if (episodes <= 0) {
@@ -84,9 +84,9 @@ RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,
   }
   // Determinism by construction: each episode gets its own RNG stream,
   // forked serially up front, so nothing an episode samples can depend on
-  // scheduling. Episodes are grouped into lockstep jobs — one policy copy
-  // per job, all of the job's still-running episodes advanced through a
-  // single batched forward per tick — and each job's environments are
+  // scheduling. Episodes are grouped into lockstep jobs — all of a job's
+  // still-running episodes advanced through a single batched forward of the
+  // shared policy per tick — and each job's environments are
   // constructed in episode index order from the episodes' own streams.
   // Because every episode touches only its own stream and its own env, and
   // (in strict math mode) a batched forward is bit-identical per row to a
@@ -105,7 +105,6 @@ RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,
     const std::size_t end = std::min(begin + group, n_episodes);
     netgym::tracing::TraceSpan span("episode.block", "rl",
                                     static_cast<std::int64_t>(g));
-    MlpPolicy local = policy;
     std::vector<std::unique_ptr<netgym::Env>> envs;
     std::vector<netgym::Env*> env_ptrs;
     std::vector<netgym::Rng*> rng_ptrs;
@@ -118,7 +117,7 @@ RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,
       rng_ptrs.push_back(&streams[e]);
     }
     std::vector<std::vector<Transition>> transitions;
-    run_episodes_lockstep(local, env_ptrs, rng_ptrs, max_steps_per_episode,
+    run_episodes_lockstep(policy, env_ptrs, rng_ptrs, max_steps_per_episode,
                           &transitions);
     for (std::size_t j = 0; j < transitions.size(); ++j) {
       per_episode[begin + j] = std::move(transitions[j]);
@@ -206,10 +205,6 @@ void ActorCriticBase::load_state(const netgym::checkpoint::Snapshot& snap,
   iteration_count_ = static_cast<long>(iteration_count);
 }
 
-double ActorCriticBase::critic_value(const netgym::Observation& obs) {
-  return critic_.forward(obs)[0];
-}
-
 RolloutBatch ActorCriticBase::collect_timed(const EnvFactory& factory,
                                             IterationStats& stats) {
   netgym::tracing::TraceSpan span("rollout", "rl");
@@ -255,14 +250,13 @@ void ActorCriticBase::finish_health_stats(const RolloutBatch& batch,
   h.explained_variance = explained_variance_of(targets, values);
 
   // Approximate update-KL: one post-update batched forward pass (reads
-  // parameters, consumes no RNG; the forward cache it clobbers is rebuilt by
-  // the next forward->backward pair anyway).
+  // parameters, consumes no RNG).
   const std::size_t n = batch.size();
   const int actions = policy_.action_count();
   const std::vector<double> obs_rows =
       pack_observations(batch, policy_.obs_size());
   const std::vector<double>& logit_rows =
-      policy_.net().forward_batch(obs_rows.data(), n);
+      policy_.net().forward_batch(obs_rows.data(), n, actor_ws_);
   double kl_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double new_logp = nn::log_softmax_row_at(
@@ -397,7 +391,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
   // in strict mode). The forward cache this leaves behind is reused by the
   // critic update below.
   const std::vector<double>& value_rows = critic_.forward_batch(
-      obs_rows.data(), n);
+      obs_rows.data(), n, critic_ws_);
   std::vector<double> values(value_rows.begin(), value_rows.end());
   std::vector<double> adv(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -425,7 +419,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
   // old per-sample forward/backward interleave exactly.
   policy_.net().zero_grad();
   const std::vector<double>& logit_rows =
-      policy_.net().forward_batch(obs_rows.data(), n);
+      policy_.net().forward_batch(obs_rows.data(), n, actor_ws_);
   std::vector<double> grad_rows(n * static_cast<std::size_t>(actions));
   std::vector<double> p(static_cast<std::size_t>(actions));
   for (std::size_t i = 0; i < n; ++i) {
@@ -446,7 +440,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
       grad[j] = (pg + eg) * inv_n;
     }
   }
-  policy_.net().backward_batch(grad_rows.data(), n);
+  policy_.net().backward_batch(grad_rows.data(), n, actor_ws_);
   actor_opt_.step(policy_.net().params(), policy_.net().grads());
 
   // Critic: MSE against scaled returns. The critic's parameters have not
@@ -458,7 +452,7 @@ IterationStats A2CTrainer::run_iteration(const EnvFactory& factory) {
   for (std::size_t i = 0; i < n; ++i) {
     critic_grads[i] = 2.0 * (values[i] - returns[i]) * inv_n;
   }
-  critic_.backward_batch(critic_grads.data(), n);
+  critic_.backward_batch(critic_grads.data(), n, critic_ws_);
   critic_opt_.step(critic_.params(), critic_.grads());
 
   stats.mean_entropy = entropy_sum * inv_n;
@@ -489,7 +483,7 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
       pack_observations(batch, policy_.obs_size());
 
   const std::vector<double>& value_rows =
-      critic_.forward_batch(obs_rows.data(), n);
+      critic_.forward_batch(obs_rows.data(), n, critic_ws_);
   std::vector<double> values(value_rows.begin(), value_rows.end());
   std::vector<double> adv = gae_advantages(scaled, values, options_.gamma,
                                            options_.gae_lambda);
@@ -506,7 +500,7 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
   std::vector<double> old_logp(n);
   {
     const std::vector<double>& logit_rows =
-        policy_.net().forward_batch(obs_rows.data(), n);
+        policy_.net().forward_batch(obs_rows.data(), n, actor_ws_);
     for (std::size_t i = 0; i < n; ++i) {
       old_logp[i] = nn::log_softmax_row_at(logit_rows.data() + i * actions,
                                            actions,
@@ -529,7 +523,7 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
     // sample order, and backpropagates them in one batched pass.
     policy_.net().zero_grad();
     const std::vector<double>& logit_rows =
-        policy_.net().forward_batch(obs_rows.data(), n);
+        policy_.net().forward_batch(obs_rows.data(), n, actor_ws_);
     for (std::size_t i = 0; i < n; ++i) {
       const Transition& t = batch.transitions[i];
       const double* logits = logit_rows.data() + i * actions;
@@ -553,18 +547,18 @@ IterationStats PPOTrainer::run_iteration(const EnvFactory& factory) {
         grad[j] = (pg + eg) * inv_n;
       }
     }
-    policy_.net().backward_batch(grad_rows.data(), n);
+    policy_.net().backward_batch(grad_rows.data(), n, actor_ws_);
     actor_opt_.step(policy_.net().params(), policy_.net().grads());
 
     // The critic also moves every epoch, so (unlike A2C's single update) its
     // values must be recomputed per epoch before regressing onto targets.
     critic_.zero_grad();
     const std::vector<double>& epoch_values =
-        critic_.forward_batch(obs_rows.data(), n);
+        critic_.forward_batch(obs_rows.data(), n, critic_ws_);
     for (std::size_t i = 0; i < n; ++i) {
       critic_grads[i] = 2.0 * (epoch_values[i] - targets[i]) * inv_n;
     }
-    critic_.backward_batch(critic_grads.data(), n);
+    critic_.backward_batch(critic_grads.data(), n, critic_ws_);
     critic_opt_.step(critic_.params(), critic_.grads());
   }
 

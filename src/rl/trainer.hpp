@@ -76,7 +76,7 @@ double entropy_of(const std::vector<double>& probs);
 
 /// Roll the (stochastic) policy through `episodes` fresh environments drawn
 /// from `factory`, returning all transitions in time order.
-RolloutBatch collect_batch(MlpPolicy& policy, const EnvFactory& factory,
+RolloutBatch collect_batch(const MlpPolicy& policy, const EnvFactory& factory,
                            netgym::Rng& rng, int episodes,
                            int max_steps_per_episode);
 
@@ -140,7 +140,7 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
   /// over the losses and all parameters. No-op unless the health watchdog is
   /// enabled and `old_logp` was captured (implementations gate that capture
   /// on netgym::health::enabled()). Consumes no RNG and mutates nothing but
-  /// `stats` and the policy net's transient forward cache.
+  /// `stats` and the actor workspace.
   void finish_health_stats(const RolloutBatch& batch,
                            const std::vector<double>& old_logp,
                            const std::vector<double>& targets,
@@ -156,12 +156,12 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
   /// advances the iteration counter (call once per train_iteration).
   double next_entropy_coef();
 
-  double critic_value(const netgym::Observation& obs);
-
   TrainerOptions options_;
   netgym::Rng rng_;
   MlpPolicy policy_;
   nn::Mlp critic_;
+  nn::Mlp::Workspace actor_ws_;   ///< the update's actor passes
+  nn::Mlp::Workspace critic_ws_;  ///< the update's critic passes
   nn::Adam actor_opt_;
   nn::Adam critic_opt_;
   RunningNorm return_norm_;

@@ -11,15 +11,6 @@ namespace serve {
 
 namespace ckpt = netgym::checkpoint;
 
-std::unique_ptr<rl::MlpPolicy> PolicyVersion::instantiate() const {
-  netgym::Rng init(0);  // Xavier init is overwritten by restore() below
-  auto policy = std::make_unique<rl::MlpPolicy>(obs_size(), action_count(),
-                                                hidden(), init);
-  policy->restore(params);
-  policy->set_greedy(true);
-  return policy;
-}
-
 void write_policy_checkpoint(const rl::MlpPolicy& policy,
                              const std::string& task,
                              const std::string& path) {
@@ -35,7 +26,7 @@ PolicyVersion load_policy_checkpoint(const std::string& path) {
   if (sizes.size() < 2) {
     throw std::invalid_argument(path + ": policy/sizes needs >= 2 layers");
   }
-  PolicyVersion v;
+  std::vector<int> hidden;
   std::size_t params_needed = 0;
   for (std::size_t l = 0; l < sizes.size(); ++l) {
     if (sizes[l] < 1 || sizes[l] > 65536) {
@@ -43,27 +34,34 @@ PolicyVersion load_policy_checkpoint(const std::string& path) {
                                   std::to_string(l) + "] = " +
                                   std::to_string(sizes[l]) + " out of range");
     }
-    v.sizes.push_back(static_cast<int>(sizes[l]));
     if (l > 0) {
       params_needed += static_cast<std::size_t>(sizes[l - 1] * sizes[l]) +
                        static_cast<std::size_t>(sizes[l]);
+      if (l + 1 < sizes.size()) hidden.push_back(static_cast<int>(sizes[l]));
     }
   }
-  // MlpPolicy networks are tanh by construction; reject anything else here
-  // rather than letting instantiate() throw per-shard later.
-  if (snap.get_i64("policy/activation") != 0) {
+  // MlpPolicy networks are tanh by construction; reject anything else.
+  if (snap.get_i64("policy/activation") !=
+      static_cast<std::int64_t>(nn::Activation::kTanh)) {
     throw std::invalid_argument(path +
                                 ": serve requires a tanh policy network");
   }
-  v.params = snap.get_doubles("policy/params");
-  if (v.params.size() != params_needed) {
+  const std::vector<double>& params = snap.get_doubles("policy/params");
+  if (params.size() != params_needed) {
     throw std::invalid_argument(
-        path + ": policy/params holds " + std::to_string(v.params.size()) +
+        path + ": policy/params holds " + std::to_string(params.size()) +
         " values, topology needs " + std::to_string(params_needed));
   }
-  if (snap.has("meta/task")) v.task = snap.get_string("meta/task");
-  v.source = path;
-  return v;
+  netgym::Rng init(0);  // Xavier init is overwritten by restore() below
+  rl::MlpPolicy policy(static_cast<int>(sizes.front()),
+                       static_cast<int>(sizes.back()), hidden, init);
+  policy.restore(params);
+  policy.set_greedy(true);
+  return PolicyVersion{
+      .policy = std::move(policy),
+      .source = path,
+      .task = snap.has("meta/task") ? snap.get_string("meta/task") : "",
+  };
 }
 
 std::string PolicyStore::latest_checkpoint(const std::string& dir) {

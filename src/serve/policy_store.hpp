@@ -19,25 +19,16 @@ namespace serve {
 // snapshot or it fails read_file loudly -- so hot-swapping reduces to "poll
 // for a newer file, try to load it, keep the old policy on any failure".
 
-/// One fully-loaded, immutable policy. Batching workers keep their own
-/// executable rl::MlpPolicy built from `sizes`/`params` (the Mlp's forward
-/// scratch is mutable, so sharing one network between shards would race) and
-/// rebuild it only when `version` moves.
+/// One fully-loaded, immutable policy: the greedy network every event loop
+/// shares, each loop acting through its own workspace.
 struct PolicyVersion {
-  std::vector<int> sizes;       ///< full MLP topology, obs -> hidden -> acts
-  std::vector<double> params;   ///< flat parameter vector for sizes
+  rl::MlpPolicy policy;         ///< greedy, built once at load
   std::uint32_t version = 0;    ///< 1-based successful-load counter
   std::string source;           ///< checkpoint path this was loaded from
   std::string task;             ///< "meta/task" if the checkpoint carried it
 
-  int obs_size() const { return sizes.front(); }
-  int action_count() const { return sizes.back(); }
-  std::vector<int> hidden() const {
-    return {sizes.begin() + 1, sizes.end() - 1};
-  }
-
-  /// Build a greedy executable policy from this version's parameters.
-  std::unique_ptr<rl::MlpPolicy> instantiate() const;
+  int obs_size() const { return policy.obs_size(); }
+  int action_count() const { return policy.action_count(); }
 };
 
 /// Serve-checkpoint convention: the policy MLP under "policy/" (the standard

@@ -235,8 +235,7 @@ void Server::serve_loop(std::size_t self) {
   // the draw, but the signature still wants valid pointers.
   netgym::Rng greedy_rng(0);
 
-  std::unique_ptr<rl::MlpPolicy> policy;
-  std::uint32_t policy_version = 0;
+  rl::MlpPolicy::Workspace ws;  // this loop's passes, across hot swaps
   std::vector<std::unique_ptr<Connection>> conns;
   std::vector<pollfd> fds;
   std::vector<Request> batch;
@@ -340,12 +339,9 @@ void Server::serve_loop(std::size_t self) {
     Clock::time_point drained, forward_start, forward_end;
     if (!batch.empty()) {
       drained = Clock::now();
-      // Refresh this loop's executable policy if a hot swap landed.
+      // The version this batch is answered with; a hot swap lands between
+      // batches.
       const auto current = store_.current();
-      if (policy == nullptr || policy_version != current->version) {
-        policy = current->instantiate();
-        policy_version = current->version;
-      }
       const std::size_t obs_size =
           static_cast<std::size_t>(current->obs_size());
 
@@ -363,7 +359,8 @@ void Server::serve_loop(std::size_t self) {
         rngs.assign(n, &greedy_rng);
         actions.resize(n);
         forward_start = Clock::now();
-        policy->act_batch(rows.data(), n, rngs.data(), actions.data());
+        current->policy.act_batch(rows.data(), n, rngs.data(), actions.data(),
+                                  ws);
         forward_end = Clock::now();
         batches.add();
         batch_size.record(static_cast<double>(n));
@@ -379,14 +376,14 @@ void Server::serve_loop(std::size_t self) {
           ActResponse resp;
           resp.session_id = r.session_id;
           resp.action = actions[next_action++];
-          resp.policy_version = policy_version;
+          resp.policy_version = current->version;
           encode_act_ok(out, resp);
         } else if (r.type == MsgType::kHello) {
           HelloResponse resp;
           resp.obs_size = static_cast<std::uint32_t>(current->obs_size());
           resp.action_count =
               static_cast<std::uint32_t>(current->action_count());
-          resp.policy_version = policy_version;
+          resp.policy_version = current->version;
           encode_hello_ok(out, resp);
         } else if (r.type == MsgType::kClose) {
           encode_close_ok(out, r.session_id);

@@ -35,11 +35,11 @@ namespace serve {
 // order, and a session's requests must use one connection. A loop stops
 // reading a connection while that connection's unsent output is above
 // kMaxPendingOutput, so a client that never reads costs bounded memory and
-// stalls only itself. Each loop owns a private executable copy of the policy
-// (the MLP's forward scratch is mutable); a hot swap bumps the PolicyStore
-// version and every loop rebuilds its copy before its next batch. Responses
-// carry the version that computed them, which is how the load bench proves
-// a mid-flight swap without dropped requests.
+// stalls only itself. All loops share the PolicyStore's current version,
+// one network per version, and each loop runs it through its own workspace;
+// a hot swap takes effect at every loop's next batch. Responses carry the
+// version that computed them, which is how the load bench proves a
+// mid-flight swap without dropped requests.
 
 struct ServerOptions {
   /// Serve on this Unix socket path when non-empty; otherwise on

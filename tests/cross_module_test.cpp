@@ -111,10 +111,12 @@ TEST(Mlp, HandlesExtremeInputsWithoutNaNs) {
   Rng rng(1);
   nn::Mlp net({4, 16, 3}, nn::Activation::kTanh, rng);
   const std::vector<double> extreme{1e6, -1e6, 0.0, 1e-12};
-  const auto out = net.forward(extreme);
+  nn::Mlp::Workspace ws;
+  const std::vector<double>& out = net.forward_batch(extreme.data(), 1, ws);
   for (double v : out) EXPECT_TRUE(std::isfinite(v));
   net.zero_grad();
-  net.backward({1.0, -1.0, 0.5});
+  const std::vector<double> g{1.0, -1.0, 0.5};
+  net.backward_batch(g.data(), 1, ws);
   for (double g : net.grads()) EXPECT_TRUE(std::isfinite(g));
 }
 

@@ -33,6 +33,11 @@ TEST(AbrAdversary, ValidatesOptions) {
   bad = tiny_options();
   bad.max_bw_mbps = bad.min_bw_mbps;
   EXPECT_THROW(AbrAdversary(victim, bad, 1), std::invalid_argument);
+  // The victim acts on ABR observations, so its input width must match.
+  rl::MlpPolicy not_abr(abr::AbrEnv::kObsSize + 1, abr::kBitrateCount, {16},
+                        rng);
+  EXPECT_THROW(AbrAdversary(not_abr, tiny_options(), 1),
+               std::invalid_argument);
 }
 
 TEST(AbrAdversary, GeneratesValidTracesWithinBandwidthLevels) {

@@ -1,6 +1,6 @@
 // Pins the strict-mode determinism contract of the batched math layer
 // (DESIGN.md, "Batched math layer"): a batched forward/backward pass is
-// bit-identical to looping the per-sample one — outputs, cached
+// bit-identical to looping single-sample (n = 1) ones — outputs, cached
 // activations, and accumulated gradients alike — at any batch size and
 // under any batch split. Everything downstream (lockstep rollouts, batched
 // A2C/PPO updates, golden checkpoints) leans on exactly this property.
@@ -37,15 +37,16 @@ class BatchedEquivalenceTest : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(BatchedEquivalenceTest, ForwardBatchMatchesLoopedForwardBitForBit) {
   Rng rng(11);
-  Mlp net(std::vector<int>{6, 32, 32, 4}, GetParam(), rng);
-  Mlp loop_net = net;  // identical parameters, independent scratch
+  const Mlp net(std::vector<int>{6, 32, 32, 4}, GetParam(), rng);
+  Mlp::Workspace ws;
+  Mlp::Workspace loop_ws;  // one network, independent scratch
   for (int n : {1, 2, 5, 32, 70}) {
     const std::vector<double> x = batch_inputs(n, 6, 1.0);
-    const std::vector<double>& batched = net.forward_batch(x.data(), n);
+    const std::vector<double>& batched = net.forward_batch(x.data(), n, ws);
     ASSERT_EQ(batched.size(), static_cast<std::size_t>(n) * 4);
     for (int m = 0; m < n; ++m) {
-      const std::vector<double> one(x.begin() + m * 6, x.begin() + (m + 1) * 6);
-      const std::vector<double>& y = loop_net.forward(one);
+      const std::vector<double>& y =
+          net.forward_batch(x.data() + m * 6, 1, loop_ws);
       for (int j = 0; j < 4; ++j) {
         EXPECT_EQ(y[j], batched[static_cast<std::size_t>(m) * 4 + j])
             << "n=" << n << " row=" << m << " col=" << j;
@@ -64,16 +65,14 @@ TEST_P(BatchedEquivalenceTest, BackwardBatchAccumulatesIdenticalGradients) {
 
   // Two successive batches without zero_grad in between: accumulation on
   // top of existing gradients must also be order-exact.
+  Mlp::Workspace ws;
+  Mlp::Workspace loop_ws;
   for (int round = 0; round < 2; ++round) {
-    net.forward_batch(x.data(), n);
-    net.backward_batch(g.data(), n);
+    net.forward_batch(x.data(), n, ws);
+    net.backward_batch(g.data(), n, ws);
     for (int m = 0; m < n; ++m) {
-      const std::vector<double> one_x(x.begin() + m * 5,
-                                      x.begin() + (m + 1) * 5);
-      const std::vector<double> one_g(g.begin() + m * 3,
-                                      g.begin() + (m + 1) * 3);
-      loop_net.forward(one_x);
-      loop_net.backward(one_g);
+      loop_net.forward_batch(x.data() + m * 5, 1, loop_ws);
+      loop_net.backward_batch(g.data() + m * 3, 1, loop_ws);
     }
     EXPECT_EQ(net.grads(), loop_net.grads()) << "round " << round;
   }
@@ -87,28 +86,28 @@ TEST_P(BatchedEquivalenceTest, SplitBatchesMatchOneBatch) {
   const std::vector<double> x = batch_inputs(n, 4, 1.2);
   const std::vector<double> g = batch_inputs(n, 2, 0.6);
 
-  whole.forward_batch(x.data(), n);
-  whole.backward_batch(g.data(), n);
+  Mlp::Workspace ws;
+  whole.forward_batch(x.data(), n, ws);
+  whole.backward_batch(g.data(), n, ws);
 
   const int first = 4;
   std::vector<double> out_split;
   {
-    const std::vector<double>& top = split.forward_batch(x.data(), first);
+    const std::vector<double>& top = split.forward_batch(x.data(), first, ws);
     out_split.assign(top.begin(), top.end());
-    split.backward_batch(g.data(), first);
+    split.backward_batch(g.data(), first, ws);
   }
   {
     const std::vector<double>& bottom = split.forward_batch(
-        x.data() + static_cast<std::size_t>(first) * 4, n - first);
+        x.data() + static_cast<std::size_t>(first) * 4, n - first, ws);
     out_split.insert(out_split.end(), bottom.begin(), bottom.end());
     split.backward_batch(g.data() + static_cast<std::size_t>(first) * 2,
-                         n - first);
+                         n - first, ws);
   }
 
-  // Outputs were consumed before the second forward overwrote the scratch;
-  // compare against a fresh whole-batch forward.
-  Mlp check = whole;
-  const std::vector<double>& out_whole = check.forward_batch(x.data(), n);
+  // Outputs were consumed before the second forward overwrote the
+  // workspace; compare against a fresh whole-batch forward.
+  const std::vector<double>& out_whole = whole.forward_batch(x.data(), n, ws);
   EXPECT_EQ(out_split, out_whole);
   EXPECT_EQ(whole.grads(), split.grads());
 }
@@ -123,11 +122,12 @@ TEST(BatchedEquivalence, FastModeSingleSampleMatchesStrict) {
   // (so flipping GENET_MATH cannot change greedy evaluation of one sample).
   MathModeGuard guard;
   Rng rng(7);
-  Mlp net(std::vector<int>{6, 32, 32, 4}, Activation::kTanh, rng);
+  const Mlp net(std::vector<int>{6, 32, 32, 4}, Activation::kTanh, rng);
   const std::vector<double> x = batch_inputs(1, 6, 1.0);
-  const std::vector<double> strict_out = net.forward(x);
+  Mlp::Workspace ws;
+  const std::vector<double> strict_out = net.forward_batch(x.data(), 1, ws);
   nn::set_math_mode(nn::MathMode::kFast);
-  const std::vector<double>& fast_out = net.forward(x);
+  const std::vector<double>& fast_out = net.forward_batch(x.data(), 1, ws);
   EXPECT_EQ(strict_out, fast_out);
 }
 
@@ -152,7 +152,9 @@ TEST(BatchedEquivalence, PolicyActBatchMatchesScalarActDrawForDraw) {
   std::vector<int> batched_actions(n);
   std::vector<Rng*> rng_ptrs(n);
   for (int i = 0; i < n; ++i) rng_ptrs[i] = &streams_a[static_cast<std::size_t>(i)];
-  policy.act_batch(obs.data(), n, rng_ptrs.data(), batched_actions.data());
+  rl::MlpPolicy::Workspace ws;
+  policy.act_batch(obs.data(), n, rng_ptrs.data(), batched_actions.data(),
+                   ws);
 
   for (int i = 0; i < n; ++i) {
     const netgym::Observation one(obs.begin() + i * 5, obs.begin() + (i + 1) * 5);
@@ -175,7 +177,9 @@ TEST(BatchedEquivalence, GreedyActBatchMatchesScalarAct) {
   std::vector<int> batched_actions(n);
   Rng unused(1);
   std::vector<Rng*> rng_ptrs(n, &unused);
-  policy.act_batch(obs.data(), n, rng_ptrs.data(), batched_actions.data());
+  rl::MlpPolicy::Workspace ws;
+  policy.act_batch(obs.data(), n, rng_ptrs.data(), batched_actions.data(),
+                   ws);
   for (int i = 0; i < n; ++i) {
     const netgym::Observation one(obs.begin() + i * 4, obs.begin() + (i + 1) * 4);
     EXPECT_EQ(scalar_policy.act(one, unused),
@@ -187,11 +191,12 @@ TEST(BatchedEquivalence, BackwardBatchRequiresMatchingForward) {
   Rng rng(1);
   Mlp net(std::vector<int>{3, 4, 2}, Activation::kTanh, rng);
   const std::vector<double> g(2 * 4, 0.1);
-  EXPECT_THROW(net.backward_batch(g.data(), 4), std::logic_error);
+  Mlp::Workspace ws;
+  EXPECT_THROW(net.backward_batch(g.data(), 4, ws), std::logic_error);
   const std::vector<double> x = batch_inputs(2, 3, 1.0);
-  net.forward_batch(x.data(), 2);
-  EXPECT_THROW(net.backward_batch(g.data(), 4), std::invalid_argument);
-  net.backward_batch(g.data(), 2);  // matching size is fine
+  net.forward_batch(x.data(), 2, ws);
+  EXPECT_THROW(net.backward_batch(g.data(), 4, ws), std::invalid_argument);
+  net.backward_batch(g.data(), 2, ws);  // matching size is fine
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Pins the allocation-churn fix in the batched math layer: once warmed up,
-// Mlp::forward_batch / backward_batch and the per-sample policy act path
-// must perform zero heap allocations (scratch buffers are members that only
-// grow). Overriding global operator new/delete is per-binary, so this
-// counter lives in the shared test executable and simply ignores all other
-// tests: each test here reads the counter only across its own hot loop.
+// Mlp::forward_batch / backward_batch and the policy act paths must perform
+// zero heap allocations (workspace buffers only grow). Overriding global
+// operator new/delete is per-binary, so this counter lives in the shared test
+// executable and simply ignores all other tests: each test here reads the
+// counter only across its own hot loop.
 
 #include <gtest/gtest.h>
 
@@ -53,15 +53,16 @@ TEST(MlpAlloc, SteadyStateBatchedPassesAreAllocationFree) {
   const int n = 32;
   std::vector<double> x(static_cast<std::size_t>(n) * 8, 0.25);
   std::vector<double> g(static_cast<std::size_t>(n) * 5, 0.1);
-  // Warm-up sizes the scratch buffers.
+  // Warm-up sizes the workspace buffers.
+  Mlp::Workspace ws;
   for (int i = 0; i < 2; ++i) {
-    net.forward_batch(x.data(), n);
-    net.backward_batch(g.data(), n);
+    net.forward_batch(x.data(), n, ws);
+    net.backward_batch(g.data(), n, ws);
   }
   const long allocs = allocations_during([&] {
     for (int i = 0; i < 10; ++i) {
-      net.forward_batch(x.data(), n);
-      net.backward_batch(g.data(), n);
+      net.forward_batch(x.data(), n, ws);
+      net.backward_batch(g.data(), n, ws);
       net.zero_grad();
     }
   });
@@ -70,25 +71,30 @@ TEST(MlpAlloc, SteadyStateBatchedPassesAreAllocationFree) {
 
 TEST(MlpAlloc, SmallerBatchAfterLargerOneStaysAllocationFree) {
   // Buffers only grow: after a warm-up at the largest batch, any smaller
-  // batch must reuse them.
+  // batch must reuse them -- also when the workspace alternates between two
+  // networks of one shape, as a serve loop's does across a hot swap.
   Rng rng(2);
   Mlp net(std::vector<int>{6, 16, 3}, Activation::kTanh, rng);
+  Mlp swapped(std::vector<int>{6, 16, 3}, Activation::kTanh, rng);
   std::vector<double> x(64 * 6, 0.5);
   std::vector<double> g(64 * 3, 0.2);
-  net.forward_batch(x.data(), 64);
-  net.backward_batch(g.data(), 64);
+  Mlp::Workspace ws;
+  net.forward_batch(x.data(), 64, ws);
+  net.backward_batch(g.data(), 64, ws);
   const long allocs = allocations_during([&] {
     for (int n : {1, 7, 32, 64, 5}) {
-      net.forward_batch(x.data(), static_cast<std::size_t>(n));
-      net.backward_batch(g.data(), static_cast<std::size_t>(n));
+      for (Mlp* m : {&net, &swapped}) {
+        m->forward_batch(x.data(), static_cast<std::size_t>(n), ws);
+        m->backward_batch(g.data(), static_cast<std::size_t>(n), ws);
+      }
     }
   });
   EXPECT_EQ(allocs, 0);
 }
 
 TEST(MlpAlloc, PolicyActPathIsAllocationFree) {
-  // The rollout inner loop: act() per step must not touch the heap (logits
-  // live in the net's scratch, probabilities in the policy's).
+  // The per-step act() must not touch the heap (logits and probabilities
+  // live in the policy's own workspace).
   Rng init(3);
   rl::MlpPolicy policy(5, 4, {16, 16}, init);
   const netgym::Observation obs{0.1, -0.2, 0.3, 0.4, -0.5};
@@ -119,10 +125,11 @@ TEST(MlpAlloc, ActBatchSteadyStateIsAllocationFree) {
   for (int i = 0; i < n; ++i) streams.push_back(root.fork());
   std::vector<Rng*> rng_ptrs(n);
   for (int i = 0; i < n; ++i) rng_ptrs[i] = &streams[static_cast<std::size_t>(i)];
-  policy.act_batch(obs.data(), n, rng_ptrs.data(), actions.data());  // warm-up
+  rl::MlpPolicy::Workspace ws;
+  policy.act_batch(obs.data(), n, rng_ptrs.data(), actions.data(), ws);
   const long allocs = allocations_during([&] {
     for (int i = 0; i < 50; ++i) {
-      policy.act_batch(obs.data(), n, rng_ptrs.data(), actions.data());
+      policy.act_batch(obs.data(), n, rng_ptrs.data(), actions.data(), ws);
     }
   });
   EXPECT_EQ(allocs, 0);

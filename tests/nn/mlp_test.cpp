@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "rl/policy.hpp"
+
 namespace {
 
 using netgym::Rng;
@@ -18,24 +20,34 @@ TEST(Mlp, ValidatesConstruction) {
 
 TEST(Mlp, ForwardShapeAndDeterminism) {
   Rng rng(1);
-  Mlp net({4, 8, 3}, Activation::kTanh, rng);
+  const Mlp net({4, 8, 3}, Activation::kTanh, rng);
   const std::vector<double> x{0.1, -0.2, 0.3, 0.4};
-  const auto y1 = net.forward(x);
-  const auto y2 = net.forward(x);
+  Mlp::Workspace ws;
+  const std::vector<double> y1 = net.forward_batch(x.data(), 1, ws);
+  const std::vector<double> y2 = net.forward_batch(x.data(), 1, ws);
   ASSERT_EQ(y1.size(), 3u);
   EXPECT_EQ(y1, y2);
 }
 
 TEST(Mlp, ForwardRejectsWrongInputSize) {
+  // A packed batch carries no width to check, so the observation-taking
+  // policy entry points check it; an empty batch is rejected by the net.
   Rng rng(1);
-  Mlp net({4, 3}, Activation::kTanh, rng);
-  EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
+  const Mlp net({4, 3}, Activation::kTanh, rng);
+  Mlp::Workspace ws;
+  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(net.forward_batch(x.data(), 0, ws), std::invalid_argument);
+  rl::MlpPolicy policy(4, 3, {}, rng);
+  EXPECT_THROW(policy.logits({1.0}), std::invalid_argument);
+  EXPECT_THROW(policy.act({1.0}, rng), std::invalid_argument);
 }
 
 TEST(Mlp, BackwardRequiresForward) {
   Rng rng(1);
   Mlp net({2, 2}, Activation::kTanh, rng);
-  EXPECT_THROW(net.backward({1.0, 0.0}), std::logic_error);
+  Mlp::Workspace ws;
+  const std::vector<double> g{1.0, 0.0};
+  EXPECT_THROW(net.backward_batch(g.data(), 1, ws), std::logic_error);
 }
 
 TEST(Mlp, SetParamsRoundTripsAndValidates) {
@@ -44,7 +56,8 @@ TEST(Mlp, SetParamsRoundTripsAndValidates) {
   Mlp b({3, 5, 2}, Activation::kTanh, rng);
   b.set_params(a.params());
   const std::vector<double> x{0.5, -1.0, 2.0};
-  EXPECT_EQ(a.forward(x), b.forward(x));
+  Mlp::Workspace wa, wb;
+  EXPECT_EQ(a.forward_batch(x.data(), 1, wa), b.forward_batch(x.data(), 1, wb));
   EXPECT_THROW(a.set_params({1.0}), std::invalid_argument);
 }
 
@@ -64,8 +77,9 @@ TEST_P(MlpGradientCheck, MatchesFiniteDifferences) {
   std::vector<double> c(static_cast<std::size_t>(sizes.back()));
   for (double& v : c) v = rng.uniform(-1.0, 1.0);
 
+  Mlp::Workspace ws;
   auto loss = [&]() {
-    const auto y = net.forward(x);
+    const std::vector<double>& y = net.forward_batch(x.data(), 1, ws);
     double acc = 0.0;
     for (std::size_t j = 0; j < y.size(); ++j) acc += c[j] * y[j];
     return acc;
@@ -73,7 +87,7 @@ TEST_P(MlpGradientCheck, MatchesFiniteDifferences) {
 
   net.zero_grad();
   loss();  // populate the forward cache
-  net.backward(c);
+  net.backward_batch(c.data(), 1, ws);
   const std::vector<double> analytic = net.grads();
 
   const double eps = 1e-6;
@@ -107,12 +121,14 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   Rng rng(3);
   Mlp net({2, 3, 1}, Activation::kTanh, rng);
   const std::vector<double> x{0.3, -0.7};
+  const double g = 1.0;
+  Mlp::Workspace ws;
   net.zero_grad();
-  net.forward(x);
-  net.backward({1.0});
+  net.forward_batch(x.data(), 1, ws);
+  net.backward_batch(&g, 1, ws);
   const std::vector<double> once = net.grads();
-  net.forward(x);
-  net.backward({1.0});
+  net.forward_batch(x.data(), 1, ws);
+  net.backward_batch(&g, 1, ws);
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(net.grads()[i], 2 * once[i], 1e-12);
   }

@@ -49,8 +49,8 @@ TEST(PolicyClone, CloneIsIndependentOfTheOriginal) {
   clone->restore(mutated);
   EXPECT_EQ(original.snapshot(), original_params);
 
-  // Acting with the clone (which mutates the net's forward cache) must not
-  // disturb the original's outputs either.
+  // Acting with the clone (which writes its own workspace) must not disturb
+  // the original's outputs either.
   netgym::Rng rng(3);
   const std::vector<double> before = original.logits(make_obs(0.25));
   clone->act(make_obs(-0.75), rng);

@@ -93,13 +93,14 @@ TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 64;
+  // One reference network shared by every client thread, each acting
+  // through its own workspace -- the way the server's loops share a version.
+  const serve::PolicyVersion reference = serve::load_policy_checkpoint(ckpt);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      // Per-thread reference: forward passes write the network's scratch.
-      const std::unique_ptr<rl::MlpPolicy> reference =
-          serve::load_policy_checkpoint(ckpt).instantiate();
+      rl::MlpPolicy::Workspace ws;
       netgym::Rng dummy(0);  // greedy argmax never draws from it
       serve::Client client = serve::Client::connect_tcp(server->port());
       for (int i = 0; i < kPerClient; ++i) {
@@ -109,7 +110,7 @@ TEST(ServeServer, BatchedAnswersMatchDirectGreedyPolicy) {
         const serve::ActResponse r = client.act(sid, obs.data(), obs.size());
         netgym::Rng* rngs[1] = {&dummy};
         int expected = -1;
-        reference->act_batch(obs.data(), 1, rngs, &expected);
+        reference.policy.act_batch(obs.data(), 1, rngs, &expected, ws);
         if (r.action != expected) mismatches.fetch_add(1);
       }
     });
@@ -345,13 +346,13 @@ TEST(ServeServer, HotSwapChangesServedVersionWithZeroFailures) {
   EXPECT_EQ(server->store().current()->version, 2u);
 
   // Served actions now match the v2 policy directly.
-  const std::unique_ptr<rl::MlpPolicy> v2 =
-      serve::load_policy_checkpoint((dir / "policy_v2.ckpt").string())
-          .instantiate();
+  const serve::PolicyVersion v2 =
+      serve::load_policy_checkpoint((dir / "policy_v2.ckpt").string());
+  rl::MlpPolicy::Workspace ws;
   netgym::Rng dummy(0);
   netgym::Rng* rngs[1] = {&dummy};
   int expected = -1;
-  v2->act_batch(obs.data(), 1, rngs, &expected);
+  v2.policy.act_batch(obs.data(), 1, rngs, &expected, ws);
   EXPECT_EQ(client.act(1, obs.data(), obs.size()).action, expected);
 }
 

@@ -506,18 +506,17 @@ int cmd_fleet(const Options& options) {
 
   std::unique_ptr<rl::MlpPolicy> policy;
   if (options.count("checkpoint") != 0U) {
-    const serve::PolicyVersion version =
+    serve::PolicyVersion version =
         serve::load_policy_checkpoint(options.at("checkpoint"));
     if (!version.task.empty() && version.task != task) {
       throw std::invalid_argument("checkpoint was exported for task '" +
                                   version.task + "', not '" + task + "'");
     }
-    policy = version.instantiate();
+    policy = std::make_unique<rl::MlpPolicy>(std::move(version.policy));
   } else {
     policy = genet::make_policy(
         *adapter, genet::read_model_file(require(options, "model")));
   }
-  policy->set_greedy(true);
 
   const long long sessions =
       options.count("sessions") != 0U
