@@ -9,7 +9,11 @@
 //   training   — full train_iteration updates/s for the LB A2C and CC PPO
 //                trainers (rollout + batched update);
 //   gap eval   — lockstep-batched gap-to-baseline evaluations/s, the inner
-//                loop of every BO trial.
+//                loop of every BO trial;
+//   substrates — µs per call of the pieces every experiment is built on:
+//                one ABR / CC / LB env episode, an Adam step, a GP fit +
+//                predict, a BO propose + update, ABR trace generation, and
+//                the offline-optimal ABR planner.
 //
 // Besides the human-readable table, the run writes a JSON report (default
 // ./BENCH_throughput.json, override with --out) whose schema is validated by
@@ -35,8 +39,15 @@
 #include <thread>
 #include <vector>
 
+#include "abr/env.hpp"
+#include "abr/optimal.hpp"
+#include "bo/search.hpp"
+#include "cc/env.hpp"
 #include "exp_common.hpp"
+#include "lb/env.hpp"
 #include "netgym/parallel.hpp"
+#include "netgym/trace.hpp"
+#include "nn/adam.hpp"
 #include "nn/gemm.hpp"
 #include "nn/mlp.hpp"
 #include "rl/trainer.hpp"
@@ -175,6 +186,12 @@ struct GapEvalRow {
   std::string task;
   std::string baseline;
   double episodes_per_s = 0.0;
+};
+
+struct SubstrateRow {
+  std::string name;
+  long calls = 0;
+  double us_per_call = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -351,6 +368,101 @@ GapEvalRow bench_gap_eval(const genet::TaskAdapter& adapter,
 }
 
 // ---------------------------------------------------------------------------
+// Substrates: the simulators, optimizers and planners under every experiment
+// ---------------------------------------------------------------------------
+
+/// Written by every substrate call so the optimizer cannot drop the work.
+volatile double g_sink = 0.0;
+
+/// Run one env episode to completion, cycling through the actions.
+void run_env_episode(netgym::Env& env) {
+  env.reset();
+  const int actions = env.action_count();
+  bool done = false;
+  for (int a = 0; !done; ++a) done = env.step(a % actions).done;
+}
+
+std::vector<SubstrateRow> bench_substrates(bool quick) {
+  const long scale = quick ? 1 : 10;
+  std::vector<SubstrateRow> rows;
+  const auto add = [&](const char* name, long calls,
+                       const std::function<void()>& fn) {
+    SubstrateRow row;
+    row.name = name;
+    row.calls = calls;
+    row.us_per_call = time_calls(fn, calls) / static_cast<double>(calls) * 1e6;
+    rows.push_back(row);
+  };
+
+  netgym::Rng abr_rng(1);
+  add("abr_env_episode", 400 * scale, [&] {
+    run_env_episode(*abr::make_abr_env(abr::AbrEnvConfig{}, abr_rng));
+  });
+  netgym::Rng cc_rng(1);
+  add("cc_env_episode", 150 * scale, [&] {
+    run_env_episode(*cc::make_cc_env(cc::CcEnvConfig{}, cc_rng));
+  });
+  lb::LbEnvConfig lb_cfg;
+  lb_cfg.num_jobs = 500;
+  netgym::Rng lb_rng(1);
+  add("lb_env_episode", 250 * scale,
+      [&] { run_env_episode(*lb::make_lb_env(lb_cfg, lb_rng)); });
+
+  nn::Adam adam(3000);
+  std::vector<double> params(3000, 0.1);
+  const std::vector<double> grads(3000, 0.01);
+  add("adam_step_3000", 2000 * scale, [&] { adam.step(params, grads); });
+
+  netgym::Rng gp_rng(1);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < 15; ++i) {
+    std::vector<double> x;
+    for (int d = 0; d < 5; ++d) x.push_back(gp_rng.uniform(0, 1));
+    xs.push_back(x);
+    ys.push_back(gp_rng.uniform(-1, 1));
+  }
+  add("gp_fit_predict_15x5", 5000 * scale, [&] {
+    bo::GaussianProcess gp;
+    gp.fit(xs, ys);
+    g_sink = gp.predict(xs[0]).mean;
+  });
+
+  // One call is a fresh 5-D optimizer's 15 propose + update rounds (a
+  // curriculum round's BO budget); the row reports the mean per round.
+  constexpr int kBoTrials = 15;
+  const long bo_runs = 10 * scale;
+  netgym::Rng bo_rng(2);
+  const double bo_s = time_calls(
+      [&] {
+        bo::BayesianOptimizer opt(5, 1);
+        for (int t = 0; t < kBoTrials; ++t) {
+          const std::vector<double> x = opt.propose();
+          opt.update(x, bo_rng.uniform(-1, 1));
+        }
+      },
+      bo_runs);
+  rows.push_back({"bo_propose_update", bo_runs * kBoTrials,
+                  bo_s / static_cast<double>(bo_runs * kBoTrials) * 1e6});
+
+  netgym::AbrTraceParams trace_params;
+  trace_params.duration_s = 200;
+  netgym::Rng trace_rng(1);
+  add("abr_trace_generation_200s", 5000 * scale, [&] {
+    g_sink = netgym::generate_abr_trace(trace_params, trace_rng).duration_s();
+  });
+
+  abr::AbrEnvConfig optimal_cfg;
+  optimal_cfg.video_length_s = 120;
+  netgym::Rng optimal_rng(1);
+  const auto optimal_env = abr::make_abr_env(optimal_cfg, optimal_rng);
+  add("abr_offline_optimal_beam32", 5 * scale, [&] {
+    g_sink = abr::offline_optimal(*optimal_env, 32).mean_reward;
+  });
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // JSON report
 // ---------------------------------------------------------------------------
 
@@ -388,7 +500,8 @@ void write_json(const std::string& path, bool quick,
                 const std::vector<InferenceRow>& inference,
                 const std::vector<RolloutRow>& rollout,
                 const std::vector<TrainingRow>& training,
-                const std::vector<GapEvalRow>& gap_eval) {
+                const std::vector<GapEvalRow>& gap_eval,
+                const std::vector<SubstrateRow>& substrates) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
   char buf[256];
@@ -462,6 +575,14 @@ void write_json(const std::string& path, bool quick,
     out << "    {\"task\": \"" << r.task << "\", \"baseline\": \""
         << r.baseline << "\", \"episodes_per_s\": " << num(r.episodes_per_s)
         << "}" << (i + 1 < gap_eval.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"substrates\": [\n";
+  for (std::size_t i = 0; i < substrates.size(); ++i) {
+    const SubstrateRow& r = substrates[i];
+    out << "    {\"name\": \"" << r.name << "\", \"calls\": " << r.calls
+        << ", \"us_per_call\": " << num(r.us_per_call) << "}"
+        << (i + 1 < substrates.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"summary\": {\"batched_speedup_at_32\": " << num(speedup_at_32)
@@ -557,7 +678,15 @@ int main(int argc, char** argv) {
                 r.baseline.c_str(), r.episodes_per_s);
   }
 
-  write_json(out_path, quick, gemm, inference, rollout, training, gap_eval);
+  std::printf("\nsubstrates (us per call)\n");
+  const std::vector<SubstrateRow> substrates = bench_substrates(quick);
+  for (const SubstrateRow& r : substrates) {
+    std::printf("  %-28s %12.2f us  (%ld calls)\n", r.name.c_str(),
+                r.us_per_call, r.calls);
+  }
+
+  write_json(out_path, quick, gemm, inference, rollout, training, gap_eval,
+             substrates);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -9,7 +9,9 @@ any tool. Pure stdlib, no dependencies.
 A `BENCH_*.json` report (e.g. BENCH_throughput.json from bench_throughput)
 can be passed instead of the text log: every top-level array-of-objects
 section becomes its own CSV (keys in first-row order), so the perf
-trajectory plots share the pipeline with the figure tables.
+trajectory plots share the pipeline with the figure tables. For
+BENCH_throughput.json those are gemm, inference, rollout, training,
+gap_eval and substrates.
 
 BENCH_fleet.json nests per-scenario metric and SLO lists inside the
 "scenarios" array, which the generic flattener can't represent; fleet

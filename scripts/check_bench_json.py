@@ -5,9 +5,11 @@ Dispatches on the top-level "bench" field:
 
   throughput  (bench/bench_throughput) — the header fields, including the
       host (nproc, cpu_model) so that rows from different machines are not
-      compared unawares, the five measurement sections (gemm, inference,
-      rollout, training, gap_eval) with per-row field types, the
-      strict-mode bit-identity flags, and the summary block.
+      compared unawares, the six measurement sections (gemm, inference,
+      rollout, training, gap_eval, substrates) with per-row field types, the
+      strict-mode bit-identity flags, and the summary block. The substrates
+      section must hold exactly one row per SUBSTRATE_NAMES entry, each with
+      a positive call count and a positive per-call time.
       `--min-speedup X` additionally requires summary.batched_speedup_at_32
       >= X — CI runs with `--min-speedup 1.0` (batched must never be slower
       than the per-sample loop); the committed full-run report is held to
@@ -87,8 +89,25 @@ ROW_SCHEMAS = {
         "baseline": "str",
         "episodes_per_s": "num",
     },
+    "substrates": {
+        "name": "str",
+        "calls": "int",
+        "us_per_call": "num",
+    },
 }
 ROW_SCHEMAS["inference"] = ROW_SCHEMAS["gemm"]
+
+# The substrate rows bench_throughput times: simulators, optimizers, planners.
+SUBSTRATE_NAMES = (
+    "abr_env_episode",
+    "cc_env_episode",
+    "lb_env_episode",
+    "adam_step_3000",
+    "gp_fit_predict_15x5",
+    "bo_propose_update",
+    "abr_trace_generation_200s",
+    "abr_offline_optimal_beam32",
+)
 
 SUMMARY_FIELDS = {
     "batched_speedup_at_32": "num",
@@ -253,6 +272,19 @@ def check_throughput(path, doc, opts):
                     f"{where}: strict batched result was not bit-identical "
                     f"to the per-sample loop (batch {row['batch']})"
                 )
+
+    names = [row["name"] for row in doc["substrates"]]
+    if sorted(names) != sorted(SUBSTRATE_NAMES):
+        return (
+            f"{path}: substrates rows are {names}, "
+            f"want one each of {list(SUBSTRATE_NAMES)}"
+        )
+    for row in doc["substrates"]:
+        if row["calls"] <= 0 or not row["us_per_call"] > 0:
+            return (
+                f"{path}: substrates row '{row['name']}' needs calls > 0 and "
+                f"us_per_call > 0"
+            )
 
     # The speedup headline is defined at batch 32; require that the row the
     # summary is derived from actually exists.

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -23,11 +22,8 @@ namespace {
 
 namespace tel = netgym::telemetry;
 
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// The tracing clock in milliseconds, for deadlines.
+std::int64_t now_ms() { return netgym::tracing::now_ns() / 1'000'000; }
 
 void log_worker_event(std::size_t index, pid_t pid, const char* event) {
   if (tel::logging_enabled()) {

@@ -1,7 +1,6 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include "netgym/flight.hpp"
 #include "netgym/parallel.hpp"
 #include "netgym/rng.hpp"
+#include "netgym/tracing.hpp"
 #include "nn/gemm.hpp"
 #include "rl/lockstep.hpp"
 
@@ -168,7 +168,7 @@ ScenarioResult run_scenario(const rl::MlpPolicy& policy, const Scenario& sc,
     st.slo_ok.assign(sc.slos.size(), 0);
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  netgym::tracing::TraceSpan span("fleet.scenario", "fleet", nullptr);
   netgym::parallel_for_each(
       static_cast<std::size_t>(n_shards), [&](std::size_t s) {
         ShardStats& st = shard_stats[s];
@@ -247,9 +247,7 @@ ScenarioResult run_scenario(const rl::MlpPolicy& policy, const Scenario& sc,
     sr.pass = sr.fraction >= sr.spec.target_fraction - 1e-12;
     r.slos.push_back(std::move(sr));
   }
-  r.duration_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  r.duration_s = span.end();
   return r;
 }
 
@@ -370,7 +368,7 @@ FleetResult run_fleet(const rl::MlpPolicy& policy,
   out.threads = netgym::num_threads();
   netgym::Rng master(opts.seed);
   auto& recorder = netgym::flight::Recorder::instance();
-  const auto start = std::chrono::steady_clock::now();
+  netgym::tracing::TraceSpan span("fleet.run", "fleet", nullptr);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     // Forked before any flight-recorder side effects: the scenario stream
     // depends only on (seed, scenario index).
@@ -399,9 +397,7 @@ FleetResult run_fleet(const rl::MlpPolicy& policy,
          {"duration_s", r.duration_s}});
     out.scenarios.push_back(std::move(r));
   }
-  out.duration_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  out.duration_s = span.end();
   netgym::telemetry::Registry::instance().counter("fleet.sessions")
       .add(out.sessions);
   netgym::telemetry::Registry::instance().counter("fleet.steps")

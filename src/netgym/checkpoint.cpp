@@ -7,7 +7,6 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -494,9 +493,10 @@ Snapshot decode_file_bytes(std::string_view bytes, const std::string& what) {
 }
 
 void write_file(const Snapshot& snap, const std::string& path) {
-  netgym::tracing::TraceSpan span("checkpoint.save", "checkpoint");
   namespace tel = netgym::telemetry;
-  const auto started = std::chrono::steady_clock::now();
+  netgym::tracing::TraceSpan span(
+      "checkpoint.save", "checkpoint",
+      &tel::Registry::instance().histogram("checkpoint.save_s"));
 
   const std::string contents = encode_file_bytes(snap);
 
@@ -530,10 +530,8 @@ void write_file(const Snapshot& snap, const std::string& path) {
     ::fsync(dfd);
     ::close(dfd);
   }
+  span.end();
 
-  tel::Registry::instance().histogram("checkpoint.save_s").record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count());
   tel::Registry::instance().counter("checkpoint.saves").add();
   tel::Registry::instance()
       .counter("checkpoint.bytes_written")
@@ -547,9 +545,10 @@ void write_file(const Snapshot& snap, const std::string& path) {
 }
 
 Snapshot read_file(const std::string& path) {
-  netgym::tracing::TraceSpan span("checkpoint.load", "checkpoint");
   namespace tel = netgym::telemetry;
-  const auto started = std::chrono::steady_clock::now();
+  netgym::tracing::TraceSpan span(
+      "checkpoint.load", "checkpoint",
+      &tel::Registry::instance().histogram("checkpoint.load_s"));
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -560,9 +559,7 @@ Snapshot read_file(const std::string& path) {
   const std::string contents = buffer.str();
 
   Snapshot snap = decode_file_bytes(contents, "'" + path + "'");
-  tel::Registry::instance().histogram("checkpoint.load_s").record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count());
+  span.end();
   tel::Registry::instance().counter("checkpoint.loads").add();
   if (tel::logging_enabled()) {
     tel::log_event("checkpoint_load", 0,

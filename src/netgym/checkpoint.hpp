@@ -124,14 +124,14 @@ class Serializable {
 
 /// Serialize `snap` with the versioned CRC header and atomically replace
 /// `path` (write `<path>.tmp` + fsync + rename + directory fsync). Emits a
-/// "checkpoint.save" trace span, records the checkpoint.save_s histogram and
-/// bumps the checkpoint.saves / checkpoint.bytes_written counters. Throws
+/// "checkpoint.save" trace span that feeds the checkpoint.save_s histogram
+/// and bumps the checkpoint.saves / checkpoint.bytes_written counters. Throws
 /// CheckpointError on I/O failure; `path` is never left half-written.
 void write_file(const Snapshot& snap, const std::string& path);
 
 /// Read and fully validate a checkpoint: magic, version (<= kFormatVersion),
 /// exact payload length, CRC, and payload syntax. Emits a "checkpoint.load"
-/// trace span, records checkpoint.load_s and bumps checkpoint.loads. Throws
+/// trace span that feeds checkpoint.load_s and bumps checkpoint.loads. Throws
 /// CheckpointError on any defect -- callers only see complete,
 /// checksum-verified snapshots.
 Snapshot read_file(const std::string& path);

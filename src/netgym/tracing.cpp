@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,16 +145,11 @@ CollectedSpans collect_and_reset() {
   for (auto& buffer : r.buffers) {
     out.dropped += buffer->dropped();
     for (const SpanRecord& rec : buffer->collect()) {
-      RemoteSpan span;
-      span.name = rec.name != nullptr ? rec.name : "span";
-      span.cat = rec.cat != nullptr ? rec.cat : "task";
-      span.tid = static_cast<std::int64_t>(buffer->tid());
-      span.start_ns = rec.start_ns;
-      span.dur_ns = rec.dur_ns;
-      span.index = rec.index;
-      span.span_id = rec.span_id;
-      span.parent_id = rec.parent_id;
-      out.spans.push_back(std::move(span));
+      out.spans.push_back({rec.name != nullptr ? rec.name : "span",
+                           rec.cat != nullptr ? rec.cat : "task",
+                           static_cast<std::int64_t>(buffer->tid()),
+                           rec.start_ns, rec.dur_ns, rec.index, rec.span_id,
+                           rec.parent_id});
     }
     buffer->reset(r.capacity);
   }
@@ -230,6 +226,33 @@ void append_span_args(std::string& line, std::int64_t index,
   line += '}';
 }
 
+/// Append one "X" complete event; `ts` is relative to `base_ns` (start()),
+/// so traces begin at 0.
+void append_span(std::vector<std::string>& events, std::int64_t pid,
+                 std::int64_t tid, std::string_view name,
+                 std::string_view cat, std::int64_t base_ns,
+                 std::int64_t start_ns, std::int64_t dur_ns,
+                 std::int64_t index, std::uint64_t span_id,
+                 std::uint64_t parent_id) {
+  char buf[160];
+  std::string line = "{\"ph\":\"X\"";
+  std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"tid\":%lld,\"name\":",
+                static_cast<long long>(pid), static_cast<long long>(tid));
+  line += buf;
+  telemetry::json::append_string(line, name);
+  line += ",\"cat\":";
+  telemetry::json::append_string(line, cat);
+  // Chrome trace timestamps are microseconds; keep ns precision in the
+  // fraction.
+  std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
+                static_cast<double>(start_ns - base_ns) * 1e-3,
+                static_cast<double>(dur_ns) * 1e-3);
+  line += buf;
+  append_span_args(line, index, span_id, parent_id);
+  line += '}';
+  events.push_back(std::move(line));
+}
+
 void append_meta(std::vector<std::string>& events, std::int64_t pid,
                  const char* meta_name, std::int64_t tid,
                  const std::string& value) {
@@ -267,31 +290,17 @@ std::uint64_t write_chrome_trace(const std::string& path) {
   const auto local_pid = static_cast<std::int64_t>(::getpid());
   std::vector<std::string> events;
   std::uint64_t span_events = 0;
-  char buf[160];
   append_meta(events, local_pid, "process_name", -1, "genet");
   for (const auto& buffer : r.buffers) {
-    append_meta(events, local_pid, "thread_name",
-                static_cast<std::int64_t>(buffer->tid()),
-                "thread-" + std::to_string(buffer->tid()));
+    const auto tid = static_cast<std::int64_t>(buffer->tid());
+    append_meta(events, local_pid, "thread_name", tid,
+                "thread-" + std::to_string(tid));
     for (const SpanRecord& rec : buffer->collect()) {
-      std::string line = "{\"ph\":\"X\"";
-      std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"tid\":%u,\"name\":",
-                    static_cast<long long>(local_pid), buffer->tid());
-      line += buf;
-      telemetry::json::append_string(line, rec.name != nullptr ? rec.name
-                                                               : "span");
-      line += ",\"cat\":";
-      telemetry::json::append_string(line, rec.cat != nullptr ? rec.cat
-                                                              : "task");
-      // Chrome trace timestamps are microseconds; keep ns precision in the
-      // fraction. Timestamps are relative to start() so traces begin at 0.
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                    static_cast<double>(rec.start_ns - r.start_ns) * 1e-3,
-                    static_cast<double>(rec.dur_ns) * 1e-3);
-      line += buf;
-      append_span_args(line, rec.index, rec.span_id, rec.parent_id);
-      line += '}';
-      events.push_back(std::move(line));
+      append_span(events, local_pid, tid,
+                  rec.name != nullptr ? rec.name : "span",
+                  rec.cat != nullptr ? rec.cat : "task", r.start_ns,
+                  rec.start_ns, rec.dur_ns, rec.index, rec.span_id,
+                  rec.parent_id);
       ++span_events;
     }
   }
@@ -305,21 +314,9 @@ std::uint64_t write_chrome_trace(const std::string& path) {
         append_meta(events, lane.pid, "thread_name", rec.tid,
                     lane.label + "-thread-" + std::to_string(rec.tid));
       }
-      std::string line = "{\"ph\":\"X\"";
-      std::snprintf(buf, sizeof(buf), ",\"pid\":%lld,\"tid\":%lld,\"name\":",
-                    static_cast<long long>(lane.pid),
-                    static_cast<long long>(rec.tid));
-      line += buf;
-      telemetry::json::append_string(line, rec.name);
-      line += ",\"cat\":";
-      telemetry::json::append_string(line, rec.cat);
-      std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
-                    static_cast<double>(rec.start_ns - r.start_ns) * 1e-3,
-                    static_cast<double>(rec.dur_ns) * 1e-3);
-      line += buf;
-      append_span_args(line, rec.index, rec.span_id, rec.parent_id);
-      line += '}';
-      events.push_back(std::move(line));
+      append_span(events, lane.pid, rec.tid, rec.name, rec.cat, r.start_ns,
+                  rec.start_ns, rec.dur_ns, rec.index, rec.span_id,
+                  rec.parent_id);
       ++span_events;
     }
   }

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "netgym/telemetry.hpp"
+
 namespace netgym::tracing {
 
 // Hierarchical span tracer. RAII TraceSpan objects time a code region and
@@ -16,12 +18,12 @@ namespace netgym::tracing {
 // *bandwidth* traces (the paper's network traces); this one holds *execution*
 // spans.
 //
-// Hot-path cost and threading: when tracing is disabled a TraceSpan is two
-// relaxed atomic loads and no clock reads. When enabled, each span is two
-// steady_clock reads plus one store into a thread-local ring (single writer,
-// no locks, no allocation after the ring exists). On overflow the ring
-// overwrites its oldest record and counts the drop -- tracing can never block
-// or grow without bound.
+// Hot-path cost and threading: when tracing is disabled a TraceSpan given no
+// histogram is one relaxed atomic load and no clock reads. When enabled, each
+// span is two steady_clock reads plus one store into a thread-local ring
+// (single writer, no locks, no allocation after the ring exists). On overflow
+// the ring overwrites its oldest record and counts the drop -- tracing can
+// never block or grow without bound.
 //
 // Determinism contract (DESIGN.md, "Run telemetry"): tracing never draws from
 // an netgym::Rng, never reorders or skips work, and only observes
@@ -147,44 +149,64 @@ inline void emit_span(const char* name, const char* cat, std::int64_t start_ns,
   detail::emit({name, cat, start_ns, dur_ns, index, span_id, parent_id});
 }
 
-/// RAII span. Records [construction, destruction) of the enclosing scope
-/// under `name`, categorized by `cat` (rl / genet / env / pool / cli --
+/// RAII span. Records [construction, end() or destruction) of the enclosing
+/// scope under `name`, categorized by `cat` (rl / genet / env / pool / cli --
 /// Perfetto colors and filters by category), optionally tagged with an item
 /// index rendered into the event's args. Enabled-ness is sampled at
 /// construction: spans open across a stop() are simply not recorded.
+///
+/// The one primitive that times a region. A span given a histogram (`feed`,
+/// which may be null) reads the clock even while tracing is off, and its two
+/// clock reads make the trace record, the value end() returns for result
+/// fields and, from end() only, one `feed` sample in seconds: a region left
+/// early (an exception, a return) still emits its record but feeds nothing.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* cat = "task",
                      std::int64_t index = -1, std::uint64_t span_id = 0)
-      : name_(name),
-        cat_(cat),
-        index_(index),
-        span_id_(span_id),
-        active_(enabled()) {
-    if (active_) start_ns_ = now_ns();
+      : name_(name), cat_(cat), index_(index), span_id_(span_id) {
+    if (open_) start_ns_ = now_ns();
   }
-  ~TraceSpan() { end(); }
 
-  /// Close the span before scope exit (phase spans inside one function);
-  /// idempotent, and the destructor becomes a no-op afterwards.
-  void end() {
-    if (!active_) return;
-    active_ = false;
-    if (!enabled()) return;
-    detail::emit(
-        {name_, cat_, start_ns_, now_ns() - start_ns_, index_, span_id_, 0});
+  TraceSpan(const char* name, const char* cat, telemetry::Histogram* feed,
+            std::int64_t index = -1)
+      : name_(name), cat_(cat), index_(index), open_(true), feed_(feed) {
+    start_ns_ = now_ns();
+  }
+  ~TraceSpan() { close(nullptr); }
+
+  /// Close the span before scope exit; idempotent. Returns the elapsed
+  /// seconds (0 for a span given no histogram while tracing is off).
+  double end() {
+    close(feed_);
+    return elapsed_s_;
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  /// Second clock read, once: feeds `feed` if non-null, emits if traced.
+  void close(telemetry::Histogram* feed) {
+    if (!open_) return;
+    open_ = false;
+    const std::int64_t dur_ns = now_ns() - start_ns_;
+    elapsed_s_ = static_cast<double>(dur_ns) / 1e9;
+    if (feed != nullptr) feed->record(elapsed_s_);
+    if (traced_ && enabled()) {
+      detail::emit({name_, cat_, start_ns_, dur_ns, index_, span_id_, 0});
+    }
+  }
+
   const char* name_;
   const char* cat_;
   std::int64_t index_;
-  std::uint64_t span_id_;
-  bool active_;
+  std::uint64_t span_id_ = 0;
+  bool traced_ = enabled();
+  bool open_ = traced_;  ///< the clock was read and close() has not run
+  telemetry::Histogram* feed_ = nullptr;
   std::int64_t start_ns_ = 0;
+  double elapsed_s_ = 0.0;
 };
 
 }  // namespace netgym::tracing

@@ -1,7 +1,6 @@
 #include "rl/trainer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -207,14 +206,13 @@ void ActorCriticBase::load_state(const netgym::checkpoint::Snapshot& snap,
 
 RolloutBatch ActorCriticBase::collect_timed(const EnvFactory& factory,
                                             IterationStats& stats) {
-  netgym::tracing::TraceSpan span("rollout", "rl");
-  const auto start = std::chrono::steady_clock::now();
+  static netgym::telemetry::Histogram& rollout_hist =
+      netgym::telemetry::Registry::instance().histogram("rl.rollout_s");
+  netgym::tracing::TraceSpan span("rollout", "rl", &rollout_hist);
   RolloutBatch batch =
       collect_batch(policy_, factory, rng_, options_.episodes_per_iteration,
                     options_.max_steps_per_episode);
-  stats.rollout_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  stats.rollout_seconds = span.end();
   return batch;
 }
 
@@ -291,16 +289,10 @@ void ActorCriticBase::finish_health_stats(const RolloutBatch& batch,
 
 IterationStats ActorCriticBase::train_iteration(const EnvFactory& factory) {
   namespace tel = netgym::telemetry;
-  IterationStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  {
-    netgym::tracing::TraceSpan span("iteration", "rl", iteration_count_);
-    stats = run_iteration(factory);
-  }
-  const double total =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  stats.update_seconds = std::max(total - stats.rollout_seconds, 0.0);
+  netgym::tracing::TraceSpan span("iteration", "rl", nullptr,
+                                  iteration_count_);
+  IterationStats stats = run_iteration(factory);
+  stats.update_seconds = std::max(span.end() - stats.rollout_seconds, 0.0);
 
   // Registry metrics are cached once: lookups lock the registry, updates are
   // single relaxed atomics.
@@ -308,13 +300,10 @@ IterationStats ActorCriticBase::train_iteration(const EnvFactory& factory) {
       tel::Registry::instance().counter("rl.iterations");
   static tel::Counter& env_steps =
       tel::Registry::instance().counter("rl.env_steps");
-  static tel::Histogram& rollout_hist =
-      tel::Registry::instance().histogram("rl.rollout_seconds");
   static tel::Histogram& update_hist =
-      tel::Registry::instance().histogram("rl.update_seconds");
+      tel::Registry::instance().histogram("rl.update_s");
   iterations.add();
   env_steps.add(stats.steps);
-  rollout_hist.record(stats.rollout_seconds);
   update_hist.record(stats.update_seconds);
 
   if (tel::logging_enabled()) {
@@ -325,8 +314,8 @@ IterationStats ActorCriticBase::train_iteration(const EnvFactory& factory) {
          {"mean_entropy", stats.mean_entropy},
          {"episodes", static_cast<std::int64_t>(stats.episodes)},
          {"steps", static_cast<std::int64_t>(stats.steps)},
-         {"rollout_seconds", stats.rollout_seconds},
-         {"update_seconds", stats.update_seconds}});
+         {"rollout_s", stats.rollout_seconds},
+         {"update_s", stats.update_seconds}});
   }
   // Health watchdog: strictly observational rule evaluation on the stats the
   // update just produced. Runs after all stochastic work; under fail-fast a

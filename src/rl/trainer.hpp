@@ -65,7 +65,7 @@ struct IterationStats {
   int episodes = 0;
   int steps = 0;
   double rollout_seconds = 0.0;  ///< wall clock spent collecting the batch
-  double update_seconds = 0.0;   ///< wall clock spent in gradient updates
+  double update_seconds = 0.0;   ///< iteration time - rollout_seconds, >= 0
   UpdateHealth health;           ///< filled only when health::enabled()
 };
 
@@ -91,11 +91,11 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
 
   /// Run one training iteration (collect + update) on envs from `factory`,
   /// then publish run telemetry: registry counters and histograms
-  /// (`rl.iterations`, `rl.env_steps`, `rl.rollout_seconds`,
-  /// `rl.update_seconds`) and an "iteration" event on
-  /// the global RunLogger, if one is installed. Telemetry is observational
-  /// only -- it consumes no RNG draws and runs after the update -- so the
-  /// trained parameters are bit-identical with and without a sink.
+  /// (`rl.iterations`, `rl.env_steps`, `rl.rollout_s`, `rl.update_s`) and
+  /// an "iteration" event on the global RunLogger, if one is installed.
+  /// Telemetry is observational only -- it consumes no RNG draws and runs
+  /// after the update -- so the trained parameters are bit-identical with
+  /// and without a sink.
   IterationStats train_iteration(const EnvFactory& factory);
 
   MlpPolicy& policy() { return policy_; }
@@ -126,7 +126,7 @@ class ActorCriticBase : public netgym::checkpoint::Serializable {
   /// phase via `collect_timed`. `train_iteration` wraps this with telemetry.
   virtual IterationStats run_iteration(const EnvFactory& factory) = 0;
 
-  /// `collect_batch` plus wall-clock accounting into `stats.rollout_seconds`.
+  /// `collect_batch` timed by a span feeding rl.rollout_s and rollout_seconds.
   RolloutBatch collect_timed(const EnvFactory& factory, IterationStats& stats);
 
   /// Feed each episode's total reward into the `rl.episode_reward` histogram

@@ -10,12 +10,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
 #include "netgym/rng.hpp"
 #include "netgym/telemetry.hpp"
+#include "netgym/tracing.hpp"
 
 namespace serve {
 
@@ -23,10 +23,10 @@ namespace telemetry = netgym::telemetry;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using netgym::tracing::now_ns;
 
-double seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
+double seconds(std::int64_t from_ns, std::int64_t to_ns) {
+  return static_cast<double>(to_ns - from_ns) / 1e9;
 }
 
 /// One client connection, owned by exactly one loop thread.
@@ -49,8 +49,8 @@ struct Connection {
   bool flush = false;         ///< send `out` at the end of this pass
   bool hangup = false;        ///< read no more; close once `out` is sent
   bool dead = false;          ///< socket failed; drop without sending
-  Clock::time_point received; ///< when the last recv() returned
-  Clock::time_point flushed;  ///< when this pass's send() returned
+  std::int64_t received = 0;  ///< now_ns() when the last recv() returned
+  std::int64_t flushed = 0;   ///< now_ns() when this pass's send() returned
 };
 
 /// One frame taken into a loop pass's batch.
@@ -59,7 +59,7 @@ struct Request {
   MsgType type = MsgType::kHello;
   std::uint64_t session_id = 0;
   std::vector<double> obs;
-  Clock::time_point arrival;  ///< the recv() that completed the frame
+  std::int64_t arrival = 0;   ///< the recv() that completed the frame
   bool acted = false;         ///< a well-formed act, answered by the forward
 };
 
@@ -296,7 +296,7 @@ void Server::serve_loop(std::size_t self) {
         const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n > 0) {
           conn.reader.feed(buf, static_cast<std::size_t>(n));
-          conn.received = Clock::now();
+          conn.received = now_ns();
           conn.more = true;
         } else if (n == 0) {
           conn.hangup = true;  // the client is done sending
@@ -336,9 +336,9 @@ void Server::serve_loop(std::size_t self) {
     }
     first = conns.empty() ? 0 : (first + 1) % conns.size();
 
-    Clock::time_point drained, forward_start, forward_end;
+    std::int64_t drained = 0, forward_start = 0, forward_end = 0;
     if (!batch.empty()) {
-      drained = Clock::now();
+      drained = now_ns();
       // The version this batch is answered with; a hot swap lands between
       // batches.
       const auto current = store_.current();
@@ -358,10 +358,10 @@ void Server::serve_loop(std::size_t self) {
       if (n > 0) {
         rngs.assign(n, &greedy_rng);
         actions.resize(n);
-        forward_start = Clock::now();
+        forward_start = now_ns();
         current->policy.act_batch(rows.data(), n, rngs.data(), actions.data(),
                                   ws);
-        forward_end = Clock::now();
+        forward_end = now_ns();
         batches.add();
         batch_size.record(static_cast<double>(n));
       }
@@ -408,7 +408,7 @@ void Server::serve_loop(std::size_t self) {
       if (!conn->flush) continue;
       conn->flush = false;
       if (!conn->dead && !conn->out.empty()) send_pending(*conn);
-      conn->flushed = Clock::now();
+      conn->flushed = now_ns();
     }
     for (const Request& r : batch) {
       if (!r.acted) continue;
@@ -439,11 +439,11 @@ void Server::export_loop() {
   // Puffer's log-reporter pattern: a sidecar loop that periodically posts
   // the process's metric snapshot to the structured sink, so a long-lived
   // daemon leaves a queryable time series rather than only an exit dump.
-  const auto started = Clock::now();
+  const auto started = now_ns();
   telemetry::Gauge& uptime = telemetry::Registry::instance().gauge(
       "serve.uptime_s");
   while (!wait_for_stop(opt_.metrics_interval_s * 1000)) {
-    uptime.set(seconds(started, Clock::now()));
+    uptime.set(seconds(started, now_ns()));
     if (!telemetry::logging_enabled()) continue;
     std::vector<telemetry::Field> fields;
     const auto policy = store_.current();

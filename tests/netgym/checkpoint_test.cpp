@@ -24,6 +24,7 @@
 #include "genet/robustify.hpp"
 #include "netgym/config.hpp"
 #include "netgym/rng.hpp"
+#include "netgym/telemetry.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 #include "rl/rollout.hpp"
@@ -239,6 +240,31 @@ TEST(CheckpointFile, FailedWriteLeavesNoFileBehind) {
   snap.put_i64("k", 1);
   EXPECT_THROW(ckpt::write_file(snap, path), CheckpointError);
   EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST(CheckpointFile, OnlyCompletedSavesAndLoadsFeedTheDurationHistograms) {
+  // The save/load spans feed checkpoint.save_s / load_s; a save or load that
+  // throws unwinds its span and records no sample.
+  netgym::telemetry::Registry& reg = netgym::telemetry::Registry::instance();
+  netgym::telemetry::Histogram& save_s = reg.histogram("checkpoint.save_s");
+  netgym::telemetry::Histogram& load_s = reg.histogram("checkpoint.load_s");
+  const std::int64_t saves = save_s.count();
+  const std::int64_t loads = load_s.count();
+  Snapshot snap;
+  snap.put_i64("k", 1);
+  EXPECT_THROW(ckpt::write_file(snap, temp_path("no_such_dir/x.ckpt")),
+               CheckpointError);
+  EXPECT_THROW(ckpt::read_file(temp_path("no_such_dir/x.ckpt")),
+               CheckpointError);
+  EXPECT_EQ(save_s.count(), saves);
+  EXPECT_EQ(load_s.count(), loads);
+
+  const std::string path = temp_path("timed.ckpt");
+  ckpt::write_file(snap, path);
+  ckpt::read_file(path);
+  EXPECT_EQ(save_s.count(), saves + 1);
+  EXPECT_EQ(load_s.count(), loads + 1);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- Serializable round trips

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -125,10 +124,10 @@ TEST(Tracing, WriteThrowsOnUnwritablePath) {
 }
 
 TEST(Tracing, PoolWorkersEmitSpansAlongsideHistograms) {
-  // A TraceSpan nested in a histogram-timed region on worker threads: the
-  // pool items each record one span and one latency sample, and the trace
-  // carries the item spans injected by the pool itself (pool.item, tagged
-  // with the index).
+  // Span-fed histograms on worker threads: each pool item's "work" span
+  // feeds one latency sample and emits one trace record from the same clock
+  // reads, and the trace also carries the pool's own item spans (pool.item,
+  // tagged with the index).
   const std::string path = ::testing::TempDir() + "tracing_pool.json";
   TraceGuard guard(path);
   netgym::telemetry::Registry& reg = netgym::telemetry::Registry::instance();
@@ -138,13 +137,9 @@ TEST(Tracing, PoolWorkersEmitSpansAlongsideHistograms) {
   netgym::set_num_threads(4);
   tracing::start(1 << 12);
   netgym::parallel_for_each(32, [&](std::size_t i) {
-    const auto started = std::chrono::steady_clock::now();
-    {
-      tracing::TraceSpan span("work", "task", static_cast<std::int64_t>(i));
-    }
-    item_s.record(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - started)
-                      .count());
+    tracing::TraceSpan span("work", "task", &item_s,
+                            static_cast<std::int64_t>(i));
+    span.end();
   });
   tracing::stop();
   netgym::set_num_threads(0);
@@ -155,6 +150,53 @@ TEST(Tracing, PoolWorkersEmitSpansAlongsideHistograms) {
   EXPECT_EQ(count_containing(lines, "\"name\":\"work\""), 32);
   // The pool's own instrumentation wraps every item.
   EXPECT_EQ(count_containing(lines, "\"name\":\"pool.item\""), 32);
+}
+
+TEST(Tracing, FedSpanTimesWhileTracingIsOff) {
+  // A span given a histogram reads the clock regardless of the tracer: it
+  // feeds one sample, hands the same value back from end(), and records no
+  // trace span.
+  tracing::stop();
+  tracing::start(16);
+  tracing::stop();
+  netgym::telemetry::Histogram hist;
+  double elapsed = 0.0;
+  {
+    tracing::TraceSpan span("timed", "task", &hist);
+    elapsed = span.end();
+    EXPECT_EQ(span.end(), elapsed);  // idempotent: same value, no 2nd sample
+  }
+  EXPECT_GE(elapsed, 0.0);
+  const auto snap = hist.snapshot();
+  EXPECT_EQ(snap.count, 1);
+  EXPECT_EQ(snap.sum, elapsed);
+  EXPECT_EQ(tracing::recorded_spans(), 0u);
+
+  // A null histogram still times the region.
+  tracing::TraceSpan unfed("timed", "task", nullptr);
+  EXPECT_GE(unfed.end(), 0.0);
+  // A plain span is untimed while tracing is off.
+  tracing::TraceSpan plain("plain", "task");
+  EXPECT_EQ(plain.end(), 0.0);
+}
+
+TEST(Tracing, FedSpanFeedsOnlyFromEnd) {
+  const std::string path = ::testing::TempDir() + "tracing_fed_end.json";
+  TraceGuard guard(path);
+  netgym::telemetry::Histogram hist;
+  tracing::start(16);
+  EXPECT_THROW(
+      {
+        tracing::TraceSpan span("failing", "task", &hist);
+        throw std::runtime_error("region failed");
+      },
+      std::runtime_error);
+  { tracing::TraceSpan span("left early", "task", &hist); }
+  tracing::TraceSpan("completing", "task", &hist).end();
+  tracing::stop();
+  EXPECT_EQ(hist.snapshot().count, 1);  // only the region that reached end()
+  // Every region still leaves its trace record.
+  EXPECT_EQ(tracing::recorded_spans(), 3u);
 }
 
 TEST(Tracing, ExceptionsPropagateOutOfTracedJobs) {

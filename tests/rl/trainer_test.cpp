@@ -6,6 +6,8 @@
 #include <memory>
 
 #include "netgym/health.hpp"
+#include "netgym/telemetry.hpp"
+#include "netgym/tracing.hpp"
 
 namespace {
 
@@ -106,6 +108,57 @@ TEST(Trainers, IterationStatsAreConsistent) {
   EXPECT_LE(stats.mean_entropy, std::log(3.0) + 1e-9);
   // Random policy on a 3-armed bandit earns ~1/3 per step.
   EXPECT_NEAR(stats.mean_step_reward, 1.0 / 3.0, 0.25);
+}
+
+TEST(Trainers, RolloutSpanFeedsHistogramFieldAndTraceFromOneReading) {
+  // Each rollout is timed once, by the "rollout" span: its reading is the
+  // rl.rollout_s sample, IterationStats::rollout_seconds and (when tracing)
+  // the trace record's duration. Summed in the same order, all three agree
+  // bit for bit, traced or not.
+  namespace tel = netgym::telemetry;
+  namespace tracing = netgym::tracing;
+  constexpr int kIterations = 3;
+  tel::Registry& reg = tel::Registry::instance();
+  tel::Histogram& rollout_s = reg.histogram("rl.rollout_s");
+  tel::Histogram& update_s = reg.histogram("rl.update_s");
+  rl::TrainerOptions options;
+  options.episodes_per_iteration = 2;
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "tracing on" : "tracing off");
+    rollout_s.reset();
+    update_s.reset();
+    if (traced) tracing::start(1 << 14);
+    rl::A2CTrainer trainer(3, 3, options, 5);
+    double rollout_sum = 0.0;
+    double update_sum = 0.0;
+    for (int i = 0; i < kIterations; ++i) {
+      const rl::IterationStats stats =
+          trainer.train_iteration(bandit_factory());
+      EXPECT_GT(stats.rollout_seconds, 0.0);
+      EXPECT_GE(stats.update_seconds, 0.0);
+      rollout_sum += stats.rollout_seconds;
+      update_sum += stats.update_seconds;
+    }
+    const tel::Histogram::Snapshot rollout = rollout_s.snapshot();
+    EXPECT_EQ(rollout.count, kIterations);
+    EXPECT_EQ(rollout.sum, rollout_sum);
+    const tel::Histogram::Snapshot update = update_s.snapshot();
+    EXPECT_EQ(update.count, kIterations);
+    EXPECT_EQ(update.sum, update_sum);
+    if (!traced) continue;
+    tracing::stop();
+    const tracing::CollectedSpans collected = tracing::collect_and_reset();
+    EXPECT_EQ(collected.dropped, 0u);
+    int rollout_spans = 0;
+    double traced_sum = 0.0;
+    for (const tracing::RemoteSpan& span : collected.spans) {
+      if (span.name != "rollout") continue;
+      ++rollout_spans;
+      traced_sum += static_cast<double>(span.dur_ns) / 1e9;
+    }
+    EXPECT_EQ(rollout_spans, kIterations);
+    EXPECT_EQ(traced_sum, rollout_sum);
+  }
 }
 
 TEST(Trainers, SnapshotRestoreRoundTrips) {

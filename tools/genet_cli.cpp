@@ -154,7 +154,9 @@ Options parse(int argc, char** argv, int first) {
     if (std::strncmp(argv[i], "--", 2) != 0) usage("expected --option");
     const std::string key = argv[i] + 2;
     if (key == "resume" || key == "health-fail-fast" || key == "slo-strict") {
-      options[key] = "1";  // boolean flags: take no value
+      // A std::string temporary, not a literal: GCC 12 at -O3 flags the
+      // literal assignment with a false -Wrestrict.
+      options[key] = std::string("1");  // boolean flags: take no value
       continue;
     }
     if (i + 1 >= argc) usage(("missing value for --" + key).c_str());
